@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..argtypes import positive_int
 from ..core.model import PhoneNetworkModel
 from ..core.parameters import NetworkParameters
 from ..core.scenarios import baseline_scenario
@@ -604,12 +605,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_parser = sub.add_parser("run", help="run workloads and write BENCH_<label>.json")
     run_parser.add_argument("--label", default="local", help="BENCH_<label>.json label")
     run_parser.add_argument(
-        "--workloads", nargs="*", default=None,
+        "--workloads", nargs="*", default=None, choices=list(WORKLOADS),
         help=f"subset to run (default: all of {list(WORKLOADS)})",
     )
     run_parser.add_argument("--smoke-only", action="store_true",
                             help="run only the smoke subset")
-    run_parser.add_argument("--processes", type=int, default=4,
+    run_parser.add_argument("--processes", type=positive_int, default=4,
                             help="worker count for parallel workloads")
     run_parser.add_argument("--out-dir", default=".", help="output directory")
     run_parser.add_argument(

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .analysis.report import ascii_chart, format_table
+from .argtypes import positive_int
 from .core.parameters import (
     BlacklistConfig,
     DetectionAlgorithmConfig,
@@ -122,7 +123,7 @@ def _mobility_from_args(args: argparse.Namespace) -> Optional[MobilityParameters
 def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
     """Shared replication-scheduler flags (run/figure/sweep)."""
     parser.add_argument(
-        "--processes", type=int, default=1,
+        "--processes", type=positive_int, default=1,
         help="worker processes for replications (1 = serial; results are "
         "bit-identical either way)",
     )
@@ -494,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket", default=None,
         help="Unix socket path (default: <spool>/daemon.sock)",
     )
-    serve_parser.add_argument("--shards", type=int, default=2,
+    serve_parser.add_argument("--shards", type=positive_int, default=2,
                               help="shard worker processes")
     serve_parser.add_argument(
         "--max-queue-depth", type=int, default=8,

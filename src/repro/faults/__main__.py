@@ -27,6 +27,7 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
+from ..argtypes import positive_int
 from ..core.cache import ResultCache
 from ..core.parameters import NetworkParameters
 from ..core.scenarios import baseline_scenario
@@ -58,7 +59,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="self-checking fault-injection demo campaign",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--processes", type=int, default=4)
+    parser.add_argument("--processes", type=positive_int, default=4)
     parser.add_argument("--replications", type=int, default=3)
     parser.add_argument("--population", type=int, default=150)
     parser.add_argument("--duration", type=float, default=6.0,

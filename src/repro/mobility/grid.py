@@ -10,19 +10,21 @@ flat NumPy arrays:
   departure, arrival, speed) for the entire population and advances /
   interpolates it in bulk — the Monte Carlo proximity sampling of
   Berretti & Ciccarone (arXiv:1512.01263) is the exemplar.
-* :meth:`GridWaypointField.snapshot` buckets the positions at one instant
-  into a uniform spatial hash whose cell size is at least the Bluetooth
+* :meth:`GridWaypointField.snapshot` assigns the positions at one
+  instant to a uniform grid whose cell size is at least the Bluetooth
   radius, so every within-radius pair lives in the 9-cell neighborhood
   of the query cell.  :class:`GridSnapshot` then answers batched
   partner-sampling queries (one uniform-random in-range partner per
-  encounter) and exact neighbor queries without ever touching the full
-  population.
+  encounter) and exact neighbor queries.  A query buckets only the
+  occupants of its sources' neighborhoods, never the whole population,
+  and returns partners bit-identical to a full-population spatial hash.
 
 Semantics match the reference model: a phone pauses at its origin,
 travels to a uniform waypoint at a uniform-random speed, and repeats;
 positions are interpolated analytically, so no per-tick stepping exists.
 ``GridSnapshot.neighbors_within`` is validated against the brute-force
-``WaypointMobility.neighbors_within`` by a Hypothesis property test.
+``WaypointMobility.neighbors_within`` by a Hypothesis property test, and
+``GridSnapshot.sample_partners`` against a frozen full-hash reference.
 """
 
 from __future__ import annotations
@@ -35,8 +37,13 @@ import numpy as np
 from ..core.parameters import MobilityParameters
 
 
+#: Moore-neighborhood offsets, cell-x major — the candidate slot order.
+_DX = np.repeat(np.arange(-1, 2, dtype=np.int64), 3)
+_DY = np.tile(np.arange(-1, 2, dtype=np.int64), 3)
+
+
 class GridSnapshot:
-    """Positions at one instant, bucketed into a uniform spatial hash.
+    """Positions at one instant, hashed into uniform cells on demand.
 
     The hash uses at most ``floor(arena / radius)`` cells per axis, so
     each cell is at least ``radius`` wide and the 9-cell Moore
@@ -46,6 +53,12 @@ class GridSnapshot:
     (tiny radius in a huge arena) would otherwise allocate a cell table
     far larger than the population for no lookup benefit; widening the
     cells past ``radius`` only adds candidates, never drops one.
+
+    Construction only computes each phone's cell id.  A query buckets
+    just the occupants of the cells its sources' neighborhoods touch,
+    each cell in ascending phone id — the order a stable sort of the
+    whole population by cell gives — so candidates, and hence sampled
+    partners, are bit-identical to a full spatial hash.
     """
 
     def __init__(self, positions: np.ndarray, arena_size: float, radius: float) -> None:
@@ -58,16 +71,11 @@ class GridSnapshot:
         occupancy_cap = 2 * int(math.isqrt(max(1, positions.shape[0]))) + 1
         self.ncells = max(1, min(int(arena_size // radius), occupancy_cap))
         cell_size = arena_size / self.ncells
-        cx = np.clip((positions[:, 0] // cell_size).astype(np.int64), 0, self.ncells - 1)
-        cy = np.clip((positions[:, 1] // cell_size).astype(np.int64), 0, self.ncells - 1)
-        self.cell_x = cx
-        self.cell_y = cy
-        cell_id = cx * self.ncells + cy
-        # One argsort groups occupants by cell; starts/counts index into it.
-        self.order = np.argsort(cell_id, kind="stable")
-        counts = np.bincount(cell_id, minlength=self.ncells * self.ncells)
-        self.cell_counts = counts
-        self.cell_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        cells = (positions // cell_size).astype(np.int64)
+        np.clip(cells, 0, self.ncells - 1, out=cells)
+        self.cell_x = cells[:, 0]
+        self.cell_y = cells[:, 1]
+        self.cell_id = self.cell_x * self.ncells + self.cell_y
 
     def _candidates(self, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Within-radius candidates for each source (self excluded).
@@ -80,23 +88,23 @@ class GridSnapshot:
         empty = np.empty(0, dtype=np.int64)
         if m == 0:
             return empty, empty
-        cx = self.cell_x[sources]
-        cy = self.cell_y[sources]
         n = self.ncells
-        starts9 = np.empty((m, 9), dtype=np.int64)
-        counts9 = np.empty((m, 9), dtype=np.int64)
-        slot = 0
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                nx = cx + dx
-                ny = cy + dy
-                valid = (nx >= 0) & (nx < n) & (ny >= 0) & (ny < n)
-                cid = np.where(valid, nx * n + ny, 0)
-                starts9[:, slot] = np.where(valid, self.cell_starts[cid], 0)
-                counts9[:, slot] = np.where(valid, self.cell_counts[cid], 0)
-                slot += 1
-        starts_flat = starts9.ravel()
-        counts_flat = counts9.ravel()
+        nx = self.cell_x[sources][:, None] + _DX
+        ny = self.cell_y[sources][:, None] + _DY
+        valid = (nx >= 0) & (nx < n) & (ny >= 0) & (ny < n)
+        # Off-grid slots get cell -1, which no phone occupies.
+        cells = np.where(valid, nx * n + ny, -1).ravel()
+        queried = np.zeros(n * n, dtype=bool)
+        queried[cells[cells >= 0]] = True
+        # Occupants of the queried cells in ascending phone id; a stable
+        # sort by cell keeps that order within each cell.
+        occupants = np.flatnonzero(queried[self.cell_id])
+        occupant_cell = self.cell_id[occupants]
+        by_cell = np.argsort(occupant_cell, kind="stable")
+        occupants = occupants[by_cell]
+        occupant_cell = occupant_cell[by_cell]
+        starts_flat = np.searchsorted(occupant_cell, cells, side="left")
+        counts_flat = np.searchsorted(occupant_cell, cells, side="right") - starts_flat
         total = int(counts_flat.sum())
         if total == 0:
             return empty, empty
@@ -107,7 +115,7 @@ class GridSnapshot:
             - np.repeat(offsets, counts_flat)
             + np.repeat(starts_flat, counts_flat)
         )
-        candidate = self.order[flat]
+        candidate = occupants[flat]
         owner = np.repeat(np.repeat(np.arange(m, dtype=np.int64), 9), counts_flat)
         source_of = sources[owner]
         delta = self.positions[candidate] - self.positions[source_of]
@@ -211,11 +219,15 @@ class GridWaypointField:
         span = self.arrival - self.departure
         with np.errstate(divide="ignore", invalid="ignore"):
             fraction = np.where(span > 0, (time - self.departure) / span, 0.0)
-        fraction = np.clip(fraction, 0.0, 1.0)
-        return self.origin + fraction[:, None] * (self.target - self.origin)
+        np.clip(fraction, 0.0, 1.0, out=fraction)
+        # origin + fraction * (target - origin), without the temporaries.
+        points = self.target - self.origin
+        points *= fraction[:, None]
+        points += self.origin
+        return points
 
     def snapshot(self, time: float, radius: Optional[float] = None) -> GridSnapshot:
-        """Spatial-hash snapshot of the population at ``time``."""
+        """Grid snapshot of the population at ``time``."""
         return GridSnapshot(
             self.positions(time),
             self.params.arena_size,

@@ -12,6 +12,7 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
+from ..argtypes import positive_int
 from .daemon import CampaignDaemon
 
 
@@ -43,7 +44,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="Unix socket path (default: <spool>/daemon.sock)",
     )
     parser.add_argument(
-        "--shards", type=int, default=2, help="shard worker processes"
+        "--shards", type=positive_int, default=2, help="shard worker processes"
     )
     parser.add_argument(
         "--max-queue-depth", type=int, default=8,

@@ -95,10 +95,12 @@ class CSRAdjacency:
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         key = lo.astype(np.int64, copy=False) * num_nodes + hi
+        # Free the endpoint copies before the sort; held to the end they
+        # sit under the build's peak memory.
+        del u, v, keep, lo, hi
         key.sort()
         if key.size:
-            first = np.concatenate(([True], key[1:] != key[:-1]))
-            key = key[first]
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         lo = key // num_nodes
         hi = key % num_nodes
         # Symmetrise into (source, neighbour) order so each row comes out
@@ -111,6 +113,7 @@ class CSRAdjacency:
         reverse_key = hi * num_nodes + lo
         reverse_order = np.argsort(reverse_key)
         reverse_sorted = reverse_key[reverse_order]
+        del reverse_key
         edge_count = key.size
         rank = np.arange(edge_count, dtype=np.int64)
         indices = np.empty(2 * edge_count, dtype=np.int32)

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..argtypes import positive_int
 from ..experiments.scheduler import ReplicationScheduler
 from .differential import Tolerances, run_campaign
 from .golden import (
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios", nargs="*", default=None,
         help=f"subset to record (default: all of {sorted(golden_scenarios())})",
     )
-    record_parser.add_argument("--processes", type=int, default=1,
+    record_parser.add_argument("--processes", type=positive_int, default=1,
                                help="worker processes (results are identical)")
 
     check_parser = sub.add_parser(
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument("--dir", default=str(DEFAULT_GOLDEN_DIR),
                               help="fixture directory")
-    check_parser.add_argument("--processes", type=int, default=1,
+    check_parser.add_argument("--processes", type=positive_int, default=1,
                               help="worker processes (results are identical)")
     return parser
 

@@ -36,6 +36,7 @@ from ..core.parameters import (
     UserParameters,
 )
 from ..core.scenarios import virus_parameters
+from ..xl.presets import density_matched_mobility, hybrid_scenario
 
 #: Shared seed for every validation run (the paper's publication year).
 VALIDATION_SEED = 2007
@@ -278,6 +279,13 @@ def golden_scenarios() -> Dict[str, ScenarioConfig]:
         ),
         duration=96.0,
         engine="xl",
+    )
+    # Hybrid MMS + Bluetooth at the paper population, once with random
+    # mixing and once with partners drawn from the random-waypoint grid,
+    # so both proximity channels are pinned byte-for-byte.
+    scenarios["xl-hybrid"] = hybrid_scenario(1, "paper", bluetooth_rate=1.0)
+    scenarios["xl-hybrid-grid"] = hybrid_scenario(
+        1, "paper", bluetooth_rate=1.0, mobility=density_matched_mobility(1000)
     )
     return scenarios
 

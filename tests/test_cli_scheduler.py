@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -172,3 +174,76 @@ class TestAutoDegradeFlag:
         )
         assert args.no_auto_degrade is True
         assert build_parser().parse_args(["figure", "3"]).no_auto_degrade is False
+
+
+class TestArgumentErrors:
+    """Bad counts and names are usage errors (exit 2), never tracebacks."""
+
+    @staticmethod
+    def assert_usage_error(entry, argv, capsys, message):
+        with pytest.raises(SystemExit) as excinfo:
+            entry(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert message in err
+
+    @pytest.mark.parametrize("count", ["0", "-2", "two"])
+    def test_run_rejects_non_positive_processes(self, count, capsys):
+        self.assert_usage_error(
+            main, ["run", "--virus", "3", "--processes", count], capsys,
+            "argument --processes",
+        )
+
+    def test_figure_rejects_zero_processes(self, capsys):
+        self.assert_usage_error(
+            main, ["figure", "fig2", "--processes", "0"], capsys,
+            "must be a positive integer, got 0",
+        )
+
+    def test_serve_rejects_zero_shards(self, tmp_path, capsys):
+        self.assert_usage_error(
+            main, ["serve", "--spool", str(tmp_path), "--shards", "0"], capsys,
+            "argument --shards",
+        )
+
+    @pytest.mark.parametrize("command", ["record", "check"])
+    def test_validation_rejects_zero_processes(self, command, tmp_path, capsys):
+        from repro.validation.cli import main as validation_main
+
+        self.assert_usage_error(
+            validation_main,
+            [command, "--dir", str(tmp_path), "--processes", "0"],
+            capsys, "argument --processes",
+        )
+
+    def test_benchmarks_run_rejects_unknown_workload(self, capsys):
+        from repro.benchmarks.harness import main as bench_main
+
+        self.assert_usage_error(
+            bench_main, ["run", "--workloads", "nope"], capsys,
+            "argument --workloads: invalid choice: 'nope'",
+        )
+
+    def test_benchmarks_run_rejects_negative_processes(self, capsys):
+        from repro.benchmarks.harness import main as bench_main
+
+        self.assert_usage_error(
+            bench_main, ["run", "--processes", "-2"], capsys,
+            "must be a positive integer, got -2",
+        )
+
+    def test_faults_rejects_zero_processes(self, capsys):
+        from repro.faults.__main__ import main as faults_main
+
+        self.assert_usage_error(
+            faults_main, ["--processes", "0"], capsys, "argument --processes"
+        )
+
+    def test_service_rejects_zero_shards(self, tmp_path, capsys):
+        from repro.service.__main__ import main as service_main
+
+        self.assert_usage_error(
+            service_main, ["--spool", str(tmp_path), "--shards", "0"], capsys,
+            "argument --shards",
+        )
