@@ -25,12 +25,14 @@ Three layers:
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..obs.metrics import Metrics
+from .cache import ResultCache
 from .parameters import ScenarioConfig
 from .simulation import ReplicationSet, ScenarioResult, run_scenario
 
@@ -127,10 +129,20 @@ def projected_speedup(
     return serial / parallel
 
 
-def _run_indexed(job: IndexedJob) -> Tuple[int, ScenarioResult]:
-    """Pool worker: one indexed replication (module-level for picklability)."""
+def _run_indexed(
+    job: IndexedJob, graphs: Optional[ResultCache] = None
+) -> Tuple[int, ScenarioResult]:
+    """Pool worker: one indexed replication (module-level for picklability).
+
+    ``graphs`` is the executor's result cache, shipped with the job (a
+    :class:`ResultCache` pickles as its root path and counters) so xl
+    jobs reuse stored contact graphs under every start method; ``None``
+    draws every graph afresh.
+    """
     index, config, seed, replication = job
-    return index, run_scenario(config, seed=seed, replication=replication)
+    return index, run_scenario(
+        config, seed=seed, replication=replication, graphs=graphs
+    )
 
 
 #: Public alias: the supervised pool (:mod:`repro.resilience.supervisor`)
@@ -140,7 +152,7 @@ run_indexed_job = _run_indexed
 
 
 def _run_indexed_timed(
-    job: IndexedJob,
+    job: IndexedJob, graphs: Optional[ResultCache] = None
 ) -> Tuple[int, ScenarioResult, Dict[str, Any]]:
     """Like :func:`_run_indexed`, plus a telemetry sidecar.
 
@@ -155,7 +167,8 @@ def _run_indexed_timed(
     metrics = Metrics(enabled=True)
     start = time.perf_counter()
     result = run_scenario(
-        config, seed=seed, replication=replication, metrics=metrics
+        config, seed=seed, replication=replication, metrics=metrics,
+        graphs=graphs,
     )
     sidecar = {
         "pid": os.getpid(),
@@ -173,14 +186,21 @@ class WorkerPool:
     replication set).  Use as a context manager or call :meth:`close`.
     With ``processes == 1`` no pool is ever created and jobs execute
     inline, which keeps the serial path allocation-free and identical to
-    :func:`repro.core.simulation.replicate_scenario`.
+    :func:`repro.core.simulation.replicate_scenario`.  ``graphs`` is the
+    result cache every job loads and stores xl contact graphs through
+    (see :func:`run_indexed_job`); results are the same without it.
     """
 
-    def __init__(self, processes: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        processes: Optional[int] = None,
+        graphs: Optional[ResultCache] = None,
+    ) -> None:
         count = processes if processes is not None else default_process_count()
         if count < 1:
             raise ValueError(f"processes must be >= 1, got {count}")
         self.processes = count
+        self.graphs = graphs
         self._pool = None
 
     def __enter__(self) -> "WorkerPool":
@@ -227,6 +247,16 @@ class WorkerPool:
             self._pool = mp_context().Pool(self.processes)
         return self._pool
 
+    def _worker(self, run):
+        """``run`` bound to this pool's graph store (picklable).
+
+        Without a store the bare function ships, so cache-less runs
+        pickle nothing extra per chunk.
+        """
+        if self.graphs is None:
+            return run
+        return functools.partial(run, graphs=self.graphs)
+
     def imap_indexed(
         self,
         jobs: Iterable[IndexedJob],
@@ -238,9 +268,10 @@ class WorkerPool:
         consumed incrementally in chunks, so huge job matrices never
         materialize in memory at once.
         """
+        run = self._worker(_run_indexed)
         if self.processes == 1:
             for job in jobs:
-                yield _run_indexed(job)
+                yield run(job)
             return
         if job_count == 0:
             # A known-empty batch must never pay pool startup.
@@ -248,7 +279,7 @@ class WorkerPool:
         count = job_count if job_count is not None else 0
         chunk = chunk_size_for(count, self.processes)
         pool = self._ensure_pool()
-        yield from pool.imap_unordered(_run_indexed, jobs, chunksize=chunk)
+        yield from pool.imap_unordered(run, jobs, chunksize=chunk)
 
     def imap_indexed_timed(
         self,
@@ -263,9 +294,10 @@ class WorkerPool:
         produces the same sidecars inline, so telemetry consumers never
         special-case worker counts.
         """
+        run = self._worker(_run_indexed_timed)
         if self.processes == 1:
             for job in jobs:
-                yield _run_indexed_timed(job)
+                yield run(job)
             return
         if job_count == 0:
             # A known-empty batch must never pay pool startup.
@@ -273,7 +305,7 @@ class WorkerPool:
         count = job_count if job_count is not None else 0
         chunk = chunk_size_for(count, self.processes)
         pool = self._ensure_pool()
-        yield from pool.imap_unordered(_run_indexed_timed, jobs, chunksize=chunk)
+        yield from pool.imap_unordered(run, jobs, chunksize=chunk)
 
 
 def replicate_scenario_parallel(

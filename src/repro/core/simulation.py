@@ -11,7 +11,7 @@ the unit the figure experiments are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from ..obs.metrics import Metrics
 from ..topology.graph import ContactGraph
 from .model import PhoneNetworkModel
 from .parameters import ScenarioConfig
+
+if TYPE_CHECKING:  # cache imports this module for ScenarioResult
+    from .cache import ResultCache
 
 
 @dataclass
@@ -100,6 +103,7 @@ def run_scenario(
     patient_zero: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[Metrics] = None,
+    graphs: Optional[ResultCache] = None,
 ) -> ScenarioResult:
     """Simulate one replication of ``config``.
 
@@ -116,6 +120,9 @@ def run_scenario(
     the same :class:`ScenarioResult`, so caching, aggregation, and
     serialization are engine-agnostic.  The xl engine has no per-event
     kernel, so ``tracer`` is rejected there and ``metrics`` is ignored.
+    ``graphs`` (a :class:`~repro.core.cache.ResultCache`) lets the xl
+    engine load its contact graph instead of redrawing it; results are
+    identical with or without it, and the core engine ignores it.
     """
     if config.engine == "xl":
         if tracer is not None:
@@ -132,6 +139,7 @@ def run_scenario(
             graph=graph,
             patient_zero=patient_zero,
             metrics=metrics,
+            graphs=graphs,
         )
     streams = StreamFactory(seed).replication(replication)
     model = PhoneNetworkModel(

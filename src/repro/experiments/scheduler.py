@@ -207,7 +207,9 @@ class ReplicationScheduler:
             raise ValueError(f"processes must be >= 1, got {processes}")
         self.processes = processes
         self.cache = cache
-        self._pool = pool if pool is not None else WorkerPool(processes)
+        self._pool = (
+            pool if pool is not None else WorkerPool(processes, graphs=cache)
+        )
         self._owns_pool = pool is None
         #: When True, each batch is cost-modelled before dispatch and runs
         #: inline when the pool is projected to lose to serial (small
@@ -366,6 +368,7 @@ class ReplicationScheduler:
             policy=self.resilience,
             metrics=self.metrics,
             faults=faults,
+            graphs=self.cache,
         )
         report = pool.run(indexed)
         for task_id, (index, result) in report.results.items():
@@ -441,7 +444,7 @@ class ReplicationScheduler:
         if not degrade:
             return self._pool
         if self._inline_pool is None:
-            self._inline_pool = WorkerPool(1)
+            self._inline_pool = WorkerPool(1, graphs=self.cache)
         return self._inline_pool
 
     def _note_cached_batch(self) -> None:
@@ -619,6 +622,7 @@ class ReplicationScheduler:
             "misses": self.cache.misses,
             "writes": self.cache.writes,
             "hit_ratio": round(self.cache.hits / lookups, 4) if lookups else 0.0,
+            **self.cache.graph_footprint(),
             # Resolved so a CWD-relative cache dir is unambiguous in the
             # manifest (the whole point of recording it — split caches
             # show up as differing absolute paths).

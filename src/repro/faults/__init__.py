@@ -23,7 +23,7 @@ from .plan import (
     InjectedTaskError,
     WORKER_CRASH_EXIT_CODE,
 )
-from .cache import FaultInjectingCache, corrupt_cache_entry
+from .cache import FaultInjectingCache, corrupt_cache_entry, flip_byte
 
 __all__ = [
     "FaultInjectingCache",
@@ -34,4 +34,5 @@ __all__ = [
     "InjectedTaskError",
     "WORKER_CRASH_EXIT_CODE",
     "corrupt_cache_entry",
+    "flip_byte",
 ]

@@ -5,7 +5,9 @@ ResultCache` whose ``put`` raises :class:`OSError` on chosen write
 ordinals — proving the scheduler survives storage failures without
 losing results.  :func:`corrupt_cache_entry` flips one byte of a stored
 entry on disk — proving the cache's checksum verification quarantines
-(rather than serves or crashes on) corrupted data.
+(rather than serves or crashes on) corrupted data.  :func:`flip_byte` is
+the same damage for any entry file, e.g. a stored contact graph at
+:meth:`~repro.core.cache.ResultCache.graph_path`.
 """
 
 from __future__ import annotations
@@ -59,10 +61,20 @@ def corrupt_cache_entry(
     the JSON payload, so the damage is the silent-corruption kind only a
     checksum catches, not necessarily a parse error.
     """
-    path = cache._path_for(result_key(config, seed, replication))
+    return flip_byte(
+        cache._path_for(result_key(config, seed, replication)), flip_offset
+    )
+
+
+def flip_byte(path: Path, flip_offset: Optional[int] = None) -> Path:
+    """Flip the low bit of one byte of ``path`` in place; returns ``path``.
+
+    ``flip_offset`` defaults to the middle of the file, which for every
+    entry kind lands inside the stored payload.
+    """
     data = bytearray(path.read_bytes())
     if not data:
-        raise ValueError(f"cache entry {path} is empty")
+        raise ValueError(f"entry {path} is empty")
     offset = flip_offset if flip_offset is not None else len(data) // 2
     if not 0 <= offset < len(data):
         raise ValueError(f"flip_offset {offset} outside entry of {len(data)} bytes")
@@ -71,4 +83,4 @@ def corrupt_cache_entry(
     return path
 
 
-__all__ = ["FaultInjectingCache", "corrupt_cache_entry"]
+__all__ = ["FaultInjectingCache", "corrupt_cache_entry", "flip_byte"]

@@ -16,7 +16,8 @@ required
 optional sections
     ``seed``/``seeds``, ``replications``, ``scenarios`` (name + config
     hash + job count each), ``scheduler`` (scheduled/executed/cache-hit
-    job counts), ``cache`` (hits/misses/writes/hit_ratio and the
+    job counts), ``cache`` (hits/misses/writes/hit_ratio, the stored xl
+    graphs' ``graph_entries``/``graph_bytes``, and the
     *resolved* cache directory — see
     :func:`repro.core.cache.default_cache_dir` on why the directory
     matters), ``workers`` (per-worker jobs/events/busy-seconds/rates),
@@ -363,6 +364,11 @@ def validate_manifest(document: Mapping[str, Any]) -> List[str]:
                 problems.append("cache.hit_ratio missing or outside [0, 1]")
             if not isinstance(cache.get("dir"), str):
                 problems.append("cache.dir missing or not a string")
+            # Stored xl graphs: optional, so older manifests stay valid.
+            for field in ("graph_entries", "graph_bytes"):
+                value = cache.get(field, 0)
+                if not isinstance(value, int) or value < 0:
+                    problems.append(f"cache.{field} not a non-negative int")
 
     workers = document.get("workers")
     if workers is not None:

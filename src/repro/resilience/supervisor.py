@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.cache import ResultCache
 from ..core.parallel import IndexedJob, mp_context, run_indexed_job
 from ..obs.metrics import NULL_METRICS, Metrics
 from .policy import RetryPolicy
@@ -130,7 +131,9 @@ class _WorkerSlot:
         self.current: Optional[Tuple[int, int, float]] = None
 
 
-def _worker_main(task_queue, result_queue) -> None:
+def _worker_main(
+    task_queue, result_queue, graphs: Optional[ResultCache] = None
+) -> None:
     """Worker loop: run one task per message until the ``None`` sentinel.
 
     Module-level (spawn-safe).  Fault directives run *inside* the try so
@@ -146,7 +149,7 @@ def _worker_main(task_queue, result_queue) -> None:
         try:
             if fault is not None:
                 fault.apply(attempt)
-            index, result = run_indexed_job(job)
+            index, result = run_indexed_job(job, graphs)
         except KeyboardInterrupt:  # pragma: no cover - parent-driven teardown
             return
         except BaseException as exc:
@@ -162,7 +165,8 @@ class SupervisedWorkerPool:
 
     ``faults`` maps task ids to fault directives (test/fault-injection
     use); ``metrics`` receives ``resilience.*`` counters for every
-    failure, retry, quarantine, and respawn.
+    failure, retry, quarantine, and respawn; ``graphs`` reaches every
+    attempt (see :func:`~repro.core.parallel.run_indexed_job`).
     """
 
     def __init__(
@@ -171,6 +175,7 @@ class SupervisedWorkerPool:
         policy: Optional[RetryPolicy] = None,
         metrics: Optional[Metrics] = None,
         faults: Optional[Dict[int, Any]] = None,
+        graphs: Optional[ResultCache] = None,
     ) -> None:
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
@@ -178,6 +183,7 @@ class SupervisedWorkerPool:
         self.policy = policy if policy is not None else RetryPolicy()
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.faults = faults or {}
+        self.graphs = graphs
 
     # -- shared failure accounting -----------------------------------------
 
@@ -239,7 +245,7 @@ class SupervisedWorkerPool:
                 try:
                     if state.fault is not None:
                         state.fault.apply(attempt, soft=True)
-                    index, result = run_indexed_job(state.job)
+                    index, result = run_indexed_job(state.job, self.graphs)
                 except Exception as exc:
                     delay = self._record_failure(
                         report, state, "error", f"{type(exc).__name__}: {exc}"
@@ -255,7 +261,9 @@ class SupervisedWorkerPool:
     def _spawn_slot(self, ctx, result_queue) -> _WorkerSlot:
         task_queue = ctx.Queue()
         process = ctx.Process(
-            target=_worker_main, args=(task_queue, result_queue), daemon=True
+            target=_worker_main,
+            args=(task_queue, result_queue, self.graphs),
+            daemon=True,
         )
         process.start()
         return _WorkerSlot(process, task_queue)

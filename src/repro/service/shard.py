@@ -5,7 +5,10 @@ processes.  Each shard *owns a partition of the result-cache key space*:
 a task routes to shard ``int(key[:8], 16) % shards``, so two shards
 never compute (or write) the same cache entry — cache writes stay
 race-free without locks, and a shard's warm partition survives its own
-respawns.
+respawns.  xl contact graphs are the exception: every shard passes its
+cache to :func:`~repro.core.parallel.run_indexed_job` as the graph
+store, so two shards may write one graph entry at once; both write the
+same bytes through an atomic replace, so the entry stays intact.
 
 Supervision lives in the parent :class:`ShardManager`:
 
@@ -101,7 +104,7 @@ def _shard_main(
             result = cache.get(config, seed, replication)
         cache_hit = result is not None
         if result is None:
-            _, result = run_indexed_job(task)
+            _, result = run_indexed_job(task, cache)
             if cache is not None:
                 try:
                     cache.put(result)
@@ -402,7 +405,7 @@ class ShardManager:
         result = cache.get(config, seed, replication) if cache else None
         hit = result is not None
         if result is None:
-            _, result = run_indexed_job(task.job)
+            _, result = run_indexed_job(task.job, cache)
             if cache is not None:
                 try:
                     cache.put(result)

@@ -228,7 +228,10 @@ def _insert_edges(
     for i, (row, value) in enumerate(zip(rows, values)):
         start, stop = indptr[row], indptr[row + 1]
         positions[i] = start + np.searchsorted(indices[start:stop], value)
-    order = np.argsort(positions, kind="stable")
+    # New edges can share an insertion slot: two repairs into one empty
+    # row, or repairs into consecutive empty rows (equal ``indptr``).
+    # Order ties by row, then by value, so every row comes out sorted.
+    order = np.lexsort((values, rows, positions))
     new_indices = np.insert(indices, positions[order], values[order])
     new_indptr = indptr.copy()
     new_indptr[1:] += np.cumsum(np.bincount(rows, minlength=adjacency.num_nodes))

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.cache import ResultCache, graph_key
 from ..core.parameters import (
     BlacklistConfig,
     DetectionAlgorithmConfig,
@@ -113,6 +114,7 @@ class XLEngine:
         streams: StreamFactory,
         graph: Optional[ContactGraph] = None,
         profile_phases: bool = False,
+        graphs: Optional[ResultCache] = None,
     ) -> None:
         virus = config.virus
         network = config.network
@@ -170,15 +172,19 @@ class XLEngine:
             self.adjacency = CSRAdjacency.from_contact_graph(graph)
         elif virus.targeting is Targeting.CONTACT_LIST:
             topology_rng = streams.stream("topology")
-            if network.topology_model == "powerlaw":
-                self.adjacency = csr_powerlaw(
-                    network.population,
-                    network.mean_contact_list_size,
-                    network.powerlaw_exponent,
-                    topology_rng,
-                )
-            else:
-                self.adjacency = CSRAdjacency.from_contact_graph(
+
+            def build() -> CSRAdjacency:
+                # ``csr_powerlaw`` resolves through this module's globals
+                # at call time, so a wrapper installed here counts real
+                # builds only, never store hits.
+                if network.topology_model == "powerlaw":
+                    return csr_powerlaw(
+                        network.population,
+                        network.mean_contact_list_size,
+                        network.powerlaw_exponent,
+                        topology_rng,
+                    )
+                return CSRAdjacency.from_contact_graph(
                     contact_network(
                         network.population,
                         network.mean_contact_list_size,
@@ -186,6 +192,17 @@ class XLEngine:
                         model=network.topology_model,
                         exponent=network.powerlaw_exponent,
                     )
+                )
+
+            # The topology stream feeds nothing but this build, so loading
+            # the graph instead of drawing it leaves every other stream,
+            # and hence the result, unchanged.
+            if graphs is None:
+                self.adjacency = build()
+            else:
+                self.adjacency = graphs.get_or_build_graph(
+                    graph_key(network, topology_rng.bit_generator.seed_seq),
+                    build,
                 )
         # Random-dialing viruses never consult contact lists, so topology
         # generation is skipped entirely at scale.
@@ -1124,6 +1141,7 @@ def run_scenario_xl(
     graph: Optional[ContactGraph] = None,
     patient_zero: Optional[int] = None,
     metrics: Optional[Metrics] = None,
+    graphs: Optional[ResultCache] = None,
 ) -> ScenarioResult:
     """Simulate one replication of ``config`` on the xl engine.
 
@@ -1133,9 +1151,11 @@ def run_scenario_xl(
     and a :class:`ScenarioResult` that serializes, caches, and aggregates
     exactly like a core-engine result.  ``metrics`` is accepted for
     scheduler compatibility; the xl engine records no kernel telemetry.
+    ``graphs`` is the result cache whose graph store serves (and keeps)
+    the drawn contact graph; the result is the same with or without it.
     """
     streams = StreamFactory(seed).replication(replication)
-    engine = XLEngine(config, streams, graph=graph)
+    engine = XLEngine(config, streams, graph=graph, graphs=graphs)
     engine.seed_infection(patient_zero)
     final_time = engine.run()
     counters = dict(engine.counters)

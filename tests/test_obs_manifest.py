@@ -119,6 +119,14 @@ class TestValidate:
         del record["cache"]["dir"]
         assert any("cache.dir" in p for p in validate_manifest(record))
 
+    def test_cache_graph_footprint_is_optional_but_checked(self, config):
+        record = full_record(config)
+        assert "graph_entries" not in record["cache"]
+        record["cache"].update(graph_entries=3, graph_bytes=4096)
+        assert validate_manifest(record) == []
+        record["cache"]["graph_bytes"] = -1
+        assert any("cache.graph_bytes" in p for p in validate_manifest(record))
+
     def test_worker_section_checked(self, config):
         record = full_record(config)
         del record["workers"][0]["events"]

@@ -190,6 +190,8 @@ class TestResultCache:
             "entries": 1,
             "tmp_files": 0,
             "quarantine_files": 0,
+            "graph_entries": 0,
+            "graph_bytes": 0,
         }
 
     def test_missing_root_dir_is_empty(self, tmp_path):

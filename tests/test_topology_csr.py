@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.topology import CSRAdjacency, csr_powerlaw
 from repro.topology.generators import contact_network
@@ -44,6 +46,25 @@ def test_csr_powerlaw_structure(num_nodes):
     rng = np.random.default_rng(2007)
     adjacency = csr_powerlaw(num_nodes, 16.0, 1.8, rng)
     assert adjacency.num_nodes == num_nodes
+    _assert_structural_invariants(adjacency)
+
+
+@given(
+    num_nodes=st.integers(2, 60),
+    mean_degree=st.floats(0.5, 5.0),
+    seed=st.integers(0, 10_000),
+)
+@example(num_nodes=3, mean_degree=1.5, seed=19)
+@example(num_nodes=4, mean_degree=1.5, seed=11)
+@settings(max_examples=200, deadline=None)
+def test_csr_powerlaw_small_graphs_keep_the_csr_contract(
+    num_nodes, mean_degree, seed
+):
+    # Sparse small graphs leave nodes isolated, so the repair splice runs;
+    # two repairs landing in one empty row used to come out unsorted.
+    adjacency = csr_powerlaw(
+        num_nodes, mean_degree, 1.8, np.random.default_rng(seed)
+    )
     _assert_structural_invariants(adjacency)
 
 
