@@ -37,7 +37,7 @@ Commands
 ``status``
     Campaign service (``repro.service``): run the always-on daemon,
     submit a design to it over its Unix socket (streams results back),
-    or inspect queue depth, shard health, and campaign states.
+    or inspect queue depth, worker health, and campaign states.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from .topology.contact_lists import write_contact_lists
 from .topology.generators import contact_network
 from .topology.metrics import DegreeStats
 from .xl.presets import XL_PRESETS, xl_network
+from .service.__main__ import add_daemon_arguments, serve
 
 
 def _add_bluetooth_args(parser: argparse.ArgumentParser) -> None:
@@ -484,27 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve",
-        help="run the campaign daemon (durable queue, sharded execution, "
-        "Unix-socket job API; see repro.service)",
+        help="run the campaign daemon (durable queue, supervised worker "
+        "pool, Unix-socket job API; see repro.service)",
     )
-    serve_parser.add_argument(
-        "--spool", required=True,
-        help="spool directory (journal, cache, checkpoints, results, logs)",
-    )
-    serve_parser.add_argument(
-        "--socket", default=None,
-        help="Unix socket path (default: <spool>/daemon.sock)",
-    )
-    serve_parser.add_argument("--shards", type=positive_int, default=2,
-                              help="shard worker processes")
-    serve_parser.add_argument(
-        "--max-queue-depth", type=int, default=8,
-        help="queued campaigns before submissions are shed with retry_after",
-    )
-    serve_parser.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0,
-        help="seconds of shard heartbeat silence before a respawn",
-    )
+    add_daemon_arguments(serve_parser)
 
     submit_parser = subparsers.add_parser(
         "submit", help="submit a design document to a running campaign daemon"
@@ -929,19 +913,7 @@ def _load_design_document(path: str) -> dict:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from .service import CampaignDaemon
-
-    daemon = CampaignDaemon(
-        spool=args.spool,
-        shards=args.shards,
-        max_queue_depth=args.max_queue_depth,
-        heartbeat_timeout=args.heartbeat_timeout,
-    )
-    socket_path = args.socket or str(daemon.spool / "daemon.sock")
-    print(f"serving on {socket_path} (spool {daemon.spool})")
-    sys.stdout.flush()
-    daemon.serve(socket_path)
-    return 0
+    return serve(args)
 
 
 def _command_submit(args: argparse.Namespace) -> int:
@@ -1018,15 +990,12 @@ def _command_status(args: argparse.Namespace) -> int:
             f"{recovery['in_flight']} in-flight replayed "
             f"({recovery['torn_lines']} torn line(s))"
         )
-    for shard in status["shards"]:
-        state = (
-            "quarantined" if shard["quarantined"]
-            else "alive" if shard["alive"] else "dead"
-        )
+    for worker in status["workers"]:
         print(
-            f"shard {shard['shard']}: {state}, {shard['completed']} task(s), "
-            f"{shard['respawns']} respawn(s), heartbeat "
-            f"{shard['heartbeat_age']:.1f}s ago"
+            f"worker {worker['worker']}: "
+            f"{'alive' if worker['alive'] else 'dead'}, "
+            f"{worker['completed']} task(s), {worker['respawns']} respawn(s), "
+            f"busy {worker['busy_seconds']:.1f}s"
         )
     for campaign in status["campaigns"]:
         print(

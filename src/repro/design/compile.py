@@ -300,8 +300,8 @@ class CompiledDesign:
 
         These keys are the currency shared with the checkpoint layer and
         the campaign daemon: :class:`~repro.resilience.CampaignCheckpoint`
-        records them, and :mod:`repro.service` routes each job to the
-        shard owning that slice of the key space.
+        records them, and :mod:`repro.service` checkpoints and streams
+        each job under its key.
         """
         return [
             result_key(job.config, job.seed, job.replication)

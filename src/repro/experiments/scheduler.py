@@ -224,6 +224,9 @@ class ReplicationScheduler:
         #: for queue-drain / retry-after estimates).
         self.job_seconds = JobSecondsEstimator()
         self._inline_pool: Optional[WorkerPool] = None
+        #: The supervised pool of ``resilience`` runs, created lazily on
+        #: the first pending batch and reused by every later one.
+        self._supervised: Optional[SupervisedWorkerPool] = None
         self.stats = SchedulerStats()
         #: Retry/timeout/quarantine policy; ``None`` = plain unsupervised
         #: dispatch (the original fail-fast path).
@@ -274,6 +277,8 @@ class ReplicationScheduler:
         """Shut down the worker pool (if this scheduler created it)."""
         if self.checkpoint is not None:
             self.checkpoint.flush()
+        if self._supervised is not None:
+            self._supervised.close()
         if self._owns_pool:
             self._pool.close()
 
@@ -293,6 +298,8 @@ class ReplicationScheduler:
         finally:
             try:
                 self._pool.terminate()
+                if self._supervised is not None:
+                    self._supervised.terminate()
             finally:
                 if self.cache is not None:
                     self.cache.sweep()
@@ -348,33 +355,30 @@ class ReplicationScheduler:
         """Dispatch pending jobs through the supervised pool.
 
         Completed tasks land in ``results`` exactly as on the plain
-        path; quarantined tasks leave their slot ``None`` and are
-        recorded in :attr:`quarantined` (the campaign continues).
+        path, each cached and checkpointed as it streams in;
+        quarantined tasks leave their slot ``None`` and are recorded in
+        :attr:`quarantined` (the campaign continues).  Fault-plan task
+        ids index into ``pending``.
         """
-        indexed: List[IndexedJob] = [
-            (index, job.config, job.seed, job.replication)
-            for index, job in pending
-        ]
-        faults = {}
-        if self.fault_plan is not None:
-            faults = {
-                task_id: spec
-                for task_id in range(len(pending))
-                for spec in [self.fault_plan.spec_for(task_id)]
-                if spec is not None
-            }
-        pool = SupervisedWorkerPool(
-            min(self.processes, max(1, len(pending))),
-            policy=self.resilience,
-            metrics=self.metrics,
-            faults=faults,
-            graphs=self.cache,
-        )
-        report = pool.run(indexed)
-        for task_id, (index, result) in report.results.items():
+        if self._supervised is None:
+            self._supervised = SupervisedWorkerPool(
+                self.processes,
+                policy=self.resilience,
+                metrics=self.metrics,
+                faults=self.fault_plan,
+                graphs=self.cache,
+            )
+        jobs = dict(pending)
+
+        def on_result(index: int, result: ScenarioResult) -> None:
             results[index] = result
             self._cache_put(result)
-            self._record_completion(pending[task_id][1])
+            self._record_completion(jobs[index])
+
+        report = self._supervised.run(
+            [(index, job.config, job.seed, job.replication) for index, job in pending],
+            on_result,
+        )
         for task_id in report.quarantined:
             _, job = pending[task_id]
             self.quarantined.append(

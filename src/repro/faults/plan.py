@@ -12,8 +12,9 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 #: Exit code of an injected hard crash — recognizable in supervisor logs.
 WORKER_CRASH_EXIT_CODE = 113
@@ -66,14 +67,24 @@ class FaultSpec:
             raise InjectedTaskError(f"injected task error on attempt {attempt}")
 
 
-class FaultPlan:
-    """Deterministic assignment of :class:`FaultSpec` to task ids."""
+class FaultPlan(Mapping):
+    """Deterministic assignment of :class:`FaultSpec` to task ids.
 
-    def __init__(self, specs: Mapping[int, FaultSpec]) -> None:
+    A read-only mapping of task id to spec, so a plan is what the
+    supervised pool's ``faults`` argument takes.
+    """
+
+    def __init__(self, specs: Mapping) -> None:
         self.specs: Dict[int, FaultSpec] = dict(specs)
 
     def spec_for(self, task_id: int) -> Optional[FaultSpec]:
         return self.specs.get(task_id)
+
+    def __getitem__(self, task_id: int) -> FaultSpec:
+        return self.specs[task_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.specs)
 
     def __len__(self) -> int:
         return len(self.specs)

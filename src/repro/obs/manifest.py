@@ -28,8 +28,8 @@ optional sections
     experiment: the factor grid, point count, Latin-square subsample
     seed, and — on the compiled path — requested/unique job counts and
     the dedup ratio), ``service`` (required for ``kind == "service"``
-    records: the campaign id, the journal recovery report, the shard
-    fleet accounting, and per-op request counts from the daemon's
+    records: the campaign id, the journal recovery report, the worker
+    pool accounting, and per-op request counts from the daemon's
     request log), ``frontier`` (a solved response-time frontier: the
     containment-predicate configuration, the bisection bracket trace,
     every probe's per-replication finals, the scheduler's cache-dedup
@@ -61,8 +61,8 @@ MANIFEST_SCHEMA_VERSION = 1
 
 #: The record kinds a manifest file may contain.  ``service`` records
 #: are appended by the campaign daemon (:mod:`repro.service`) — one per
-#: completed campaign, carrying the queue recovery report, the shard
-#: fleet accounting, and the request-log counters.
+#: finished campaign, carrying the queue recovery report, the worker
+#: pool accounting, and the request-log counters.
 MANIFEST_KINDS = ("run", "benchmark", "profile", "service")
 
 #: Required integer fields in the ``service`` section's sub-objects.

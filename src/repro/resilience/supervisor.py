@@ -16,8 +16,19 @@ directly so the parent can *supervise* them:
   campaign continues without it and the failure is reported, never
   silently retried forever;
 * when workers keep dying (more than ``policy.max_pool_respawns``
-  respawns) the pool degrades gracefully to serial in-process execution
-  of the remaining tasks.
+  respawns in one :meth:`~SupervisedWorkerPool.run`) the pool degrades
+  gracefully to serial in-process execution of the remaining tasks; the
+  next run starts a full pool again.
+
+The pool is persistent: workers start lazily on the first run and serve
+every later one until :meth:`~SupervisedWorkerPool.close` (drain) or
+:meth:`~SupervisedWorkerPool.terminate` (abort).  Every message carries
+its run's sequence number, so a late completion from an abandoned run
+can never land in the next one.  Workers exit on their own when their
+parent dies (they notice the reparenting), so a SIGKILL'd parent leaves
+no orphans.  ``run(jobs, on_result)`` streams each completion to the
+caller — after the freed worker has already been handed its next task,
+so the caller's per-result work overlaps compute.
 
 Results are byte-identical to the plain pool and the serial path — the
 supervisor only decides where/when a task runs.  Task payloads are the
@@ -28,15 +39,19 @@ same module-level worker function, so every start method (including
 Fault injection: each task may carry a *fault directive* (any object
 with an ``apply(attempt, soft=False)`` method, see :mod:`repro.faults`)
 that the worker invokes before simulating — the deterministic harness
-the ``faultinject`` test suite drives every recovery path with.
+the ``faultinject`` test suite and the campaign daemon's ``--crash-task``
+drive every recovery path with.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
+import queue as queue_module
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.cache import ResultCache
 from ..core.parallel import IndexedJob, mp_context, run_indexed_job
@@ -46,8 +61,15 @@ from .policy import RetryPolicy
 #: How long the supervisor blocks on the result queue per loop iteration.
 _POLL_SECONDS = 0.05
 
+#: How long an idle worker blocks on its task queue before re-checking
+#: that its parent is still alive.
+_WORKER_POLL_SECONDS = 0.2
+
 #: Grace period for worker shutdown before escalating to terminate().
 _SHUTDOWN_GRACE = 1.0
+
+#: ``on_result(index, result)``: one completed job, by its job index.
+ResultCallback = Callable[[int, Any], None]
 
 
 def task_key(job: IndexedJob) -> str:
@@ -81,16 +103,16 @@ class FailureEvent:
 
 @dataclass
 class SupervisionReport:
-    """Outcome of one supervised batch."""
+    """Outcome of one supervised run (results stream to ``on_result``)."""
 
-    #: task_id -> (original result index, ScenarioResult)
-    results: Dict[int, Tuple[int, Any]] = field(default_factory=dict)
     events: List[FailureEvent] = field(default_factory=list)
     quarantined: List[int] = field(default_factory=list)
     quarantined_keys: List[str] = field(default_factory=list)
     retries: int = 0
     respawns: int = 0
     degraded_to_serial: bool = False
+    #: Tasks completed in the calling process (serial or degraded).
+    completed_inline: int = 0
 
     def counts(self) -> Dict[str, int]:
         """Failure counts by kind."""
@@ -122,30 +144,39 @@ class _TaskState:
 class _WorkerSlot:
     """One supervised worker process plus its private task queue."""
 
-    __slots__ = ("process", "task_queue", "current")
+    __slots__ = ("process", "task_queue", "current", "completed", "respawns")
 
-    def __init__(self, process, task_queue) -> None:
-        self.process = process
-        self.task_queue = task_queue
-        #: In-flight assignment: (task_id, attempt, deadline) or None.
-        self.current: Optional[Tuple[int, int, float]] = None
+    def __init__(self) -> None:
+        self.process = None
+        self.task_queue = None
+        #: In-flight assignment: (task_id, attempt, started, deadline).
+        self.current: Optional[Tuple[int, int, float, float]] = None
+        self.completed = 0
+        self.respawns = 0
 
 
 def _worker_main(
-    task_queue, result_queue, graphs: Optional[ResultCache] = None
+    task_queue, result_queue, graphs: Optional[ResultCache], parent_pid: int
 ) -> None:
     """Worker loop: run one task per message until the ``None`` sentinel.
 
     Module-level (spawn-safe).  Fault directives run *inside* the try so
     injected exceptions surface as ordinary task errors; injected hard
     crashes (``os._exit``) bypass it entirely, which is the point — the
-    parent must detect those from the process exit code.
+    parent must detect those from the process exit code.  Between tasks
+    the worker checks its parent: a SIGKILL'd parent cannot reap its
+    children, so a reparented worker exits on its own.
     """
     while True:
-        message = task_queue.get()
+        if os.getppid() != parent_pid:
+            os._exit(0)  # parent died; don't linger as an orphan
+        try:
+            message = task_queue.get(timeout=_WORKER_POLL_SECONDS)
+        except queue_module.Empty:
+            continue
         if message is None:
             return
-        task_id, attempt, job, fault = message
+        run_id, task_id, attempt, job, fault = message
         try:
             if fault is not None:
                 fault.apply(attempt)
@@ -154,19 +185,23 @@ def _worker_main(
             return
         except BaseException as exc:
             result_queue.put(
-                (task_id, attempt, "error", f"{type(exc).__name__}: {exc}")
+                (run_id, task_id, attempt, "error", f"{type(exc).__name__}: {exc}")
             )
         else:
-            result_queue.put((task_id, attempt, "ok", (index, result)))
+            result_queue.put((run_id, task_id, attempt, "ok", (index, result)))
 
 
 class SupervisedWorkerPool:
     """Run indexed replication jobs under supervision (see module doc).
 
-    ``faults`` maps task ids to fault directives (test/fault-injection
-    use); ``metrics`` receives ``resilience.*`` counters for every
-    failure, retry, quarantine, and respawn; ``graphs`` reaches every
-    attempt (see :func:`~repro.core.parallel.run_indexed_job`).
+    ``faults`` maps task ids (positions in each run's job list) to fault
+    directives — a :class:`~repro.faults.FaultPlan` or a plain dict;
+    ``metrics`` receives ``resilience.*`` counters for every failure,
+    retry, quarantine, and respawn; ``graphs`` reaches every attempt
+    (see :func:`~repro.core.parallel.run_indexed_job`).  With
+    ``processes == 1`` and no ``policy.task_timeout`` every task runs
+    inline in the calling process; a timeout needs a worker process to
+    reclaim, so with one set even a single slot is supervised.
     """
 
     def __init__(
@@ -174,7 +209,7 @@ class SupervisedWorkerPool:
         processes: int,
         policy: Optional[RetryPolicy] = None,
         metrics: Optional[Metrics] = None,
-        faults: Optional[Dict[int, Any]] = None,
+        faults: Optional[Mapping[int, Any]] = None,
         graphs: Optional[ResultCache] = None,
     ) -> None:
         if processes < 1:
@@ -182,8 +217,114 @@ class SupervisedWorkerPool:
         self.processes = processes
         self.policy = policy if policy is not None else RetryPolicy()
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.faults = faults or {}
+        self.faults = faults if faults is not None else {}
         self.graphs = graphs
+        self._ctx = mp_context()
+        self._result_queue = None
+        self._slots: List[_WorkerSlot] = []
+        #: Sequence number of the current run; tags every message.
+        self._run_id = 0
+        #: Guards the slots: the supervising thread and :meth:`probe`.
+        self._lock = threading.Lock()
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def __enter__(self) -> "SupervisedWorkerPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.terminate()
+        else:
+            self.close()
+
+    def _start_worker(self, slot: _WorkerSlot) -> None:
+        if self._result_queue is None:
+            self._result_queue = self._ctx.Queue()
+        slot.task_queue = self._ctx.Queue()
+        slot.process = self._ctx.Process(
+            target=_worker_main,
+            args=(slot.task_queue, self._result_queue, self.graphs, os.getpid()),
+            daemon=True,
+        )
+        slot.process.start()
+        slot.current = None
+
+    @staticmethod
+    def _dispose(slot: _WorkerSlot) -> None:
+        """Fully reap one worker: no zombie process, no leaked queue.
+
+        Escalates ``terminate`` → ``kill`` so a worker ignoring SIGTERM
+        (stuck in uninterruptible I/O, masked signals) cannot survive as
+        a zombie, then releases the ``Process`` object's pipe/sentinel
+        resources with ``close()`` — without it every respawn leaks the
+        dead worker's file descriptors until garbage collection.
+        """
+        process = slot.process
+        if process is None:
+            return
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=_SHUTDOWN_GRACE)
+        if process.is_alive():  # pragma: no cover - SIGTERM ignored
+            process.kill()
+            process.join(timeout=_SHUTDOWN_GRACE)
+        slot.task_queue.cancel_join_thread()
+        slot.task_queue.close()
+        try:
+            process.close()
+        except ValueError:  # pragma: no cover - still running after kill
+            pass
+        slot.process = None
+        slot.task_queue = None
+        slot.current = None
+
+    def close(self) -> None:
+        """Stop every worker after its current task (idempotent)."""
+        with self._lock:
+            live = [s for s in self._slots if s.process is not None]
+            for slot in live:
+                try:
+                    slot.task_queue.put(None)
+                except (OSError, ValueError):  # pragma: no cover - closed
+                    pass
+            deadline = time.monotonic() + _SHUTDOWN_GRACE
+            for slot in live:
+                slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
+        self.terminate()
+
+    def terminate(self) -> None:
+        """Kill every worker now, abandoning in-flight tasks (idempotent)."""
+        with self._lock:
+            for slot in self._slots:
+                self._dispose(slot)
+            self._slots = []
+            if self._result_queue is not None:
+                self._result_queue.cancel_join_thread()
+                self._result_queue.close()
+                self._result_queue = None
+
+    def probe(self) -> List[Dict[str, Any]]:
+        """Per-worker health snapshot; safe to call from any thread.
+
+        ``busy_seconds`` is the age of the task in flight (0 when idle):
+        a long-running replication shows here long before the policy's
+        ``task_timeout`` reclaims it.
+        """
+        now = time.monotonic()
+        with self._lock:
+            return [
+                {
+                    "worker": position,
+                    "alive": slot.process is not None and slot.process.is_alive(),
+                    "completed": slot.completed,
+                    "respawns": slot.respawns,
+                    "busy_seconds": round(
+                        now - slot.current[2] if slot.current else 0.0, 3
+                    ),
+                }
+                for position, slot in enumerate(self._slots)
+            ]
 
     # -- shared failure accounting -----------------------------------------
 
@@ -224,10 +365,14 @@ class SupervisedWorkerPool:
         self.metrics.inc("resilience.retries")
         return self.policy.backoff_delay(state.key, state.failures)
 
-    # -- serial execution (processes == 1 and degraded fallback) ------------
+    # -- serial execution (one untimed process, and degraded fallback) ------
 
     def _run_serial(
-        self, states: Sequence[_TaskState], report: SupervisionReport
+        self,
+        states: Sequence[_TaskState],
+        report: SupervisionReport,
+        on_result: ResultCallback,
+        should_abort: Optional[Callable[[], bool]],
     ) -> None:
         """Run every unfinished task inline, honouring retries/quarantine.
 
@@ -238,14 +383,14 @@ class SupervisedWorkerPool:
         quarantine bounds still apply.
         """
         for state in states:
-            if state.finished:
-                continue
             while not state.finished:
+                if should_abort is not None and should_abort():
+                    return
                 attempt = state.failures
                 try:
                     if state.fault is not None:
                         state.fault.apply(attempt, soft=True)
-                    index, result = run_indexed_job(state.job, self.graphs)
+                    payload = run_indexed_job(state.job, self.graphs)
                 except Exception as exc:
                     delay = self._record_failure(
                         report, state, "error", f"{type(exc).__name__}: {exc}"
@@ -254,69 +399,31 @@ class SupervisedWorkerPool:
                         time.sleep(delay)
                 else:
                     state.done = True
-                    report.results[state.task_id] = (index, result)
+                    report.completed_inline += 1
+                    on_result(*payload)
 
     # -- supervised pool execution ------------------------------------------
 
-    def _spawn_slot(self, ctx, result_queue) -> _WorkerSlot:
-        task_queue = ctx.Queue()
-        process = ctx.Process(
-            target=_worker_main,
-            args=(task_queue, result_queue, self.graphs),
-            daemon=True,
-        )
-        process.start()
-        return _WorkerSlot(process, task_queue)
-
-    @staticmethod
-    def _dispose_slot(slot: _WorkerSlot) -> None:
-        """Fully reap one slot: no zombie process, no leaked queue.
-
-        Escalates ``terminate`` → ``kill`` so a worker ignoring SIGTERM
-        (stuck in uninterruptible I/O, masked signals) cannot survive as
-        a zombie, then releases the ``Process`` object's pipe/sentinel
-        resources with ``close()`` — without it every respawn leaks the
-        dead worker's file descriptors until garbage collection.
-        """
-        process = slot.process
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=_SHUTDOWN_GRACE)
-        if process.is_alive():  # pragma: no cover - SIGTERM ignored
-            process.kill()
-            process.join(timeout=_SHUTDOWN_GRACE)
-        slot.task_queue.cancel_join_thread()
-        slot.task_queue.close()
-        try:
-            process.close()
-        except ValueError:  # pragma: no cover - still running after kill
-            pass
-
-    def _respawn_slot(
-        self, slots: List[_WorkerSlot], position: int, ctx, result_queue,
-        report: SupervisionReport,
-    ) -> None:
-        slot = slots[position]
-        slot.process.join(timeout=_SHUTDOWN_GRACE)
-        self._dispose_slot(slot)
-        slots[position] = self._spawn_slot(ctx, result_queue)
+    def _respawn(self, slot: _WorkerSlot, report: SupervisionReport) -> None:
+        self._dispose(slot)
+        self._start_worker(slot)
+        slot.respawns += 1
         report.respawns += 1
         self.metrics.inc("resilience.pool_respawns")
 
-    def _shutdown(self, slots: List[_WorkerSlot]) -> None:
-        for slot in slots:
-            if slot.process.is_alive():
-                try:
-                    slot.task_queue.put(None)
-                except (OSError, ValueError):  # pragma: no cover - closed queue
-                    pass
-        deadline = time.monotonic() + _SHUTDOWN_GRACE
-        for slot in slots:
-            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            self._dispose_slot(slot)
+    def run(
+        self,
+        jobs: Sequence[IndexedJob],
+        on_result: ResultCallback,
+        should_abort: Optional[Callable[[], bool]] = None,
+    ) -> SupervisionReport:
+        """Execute ``jobs`` to completion or quarantine; see module doc.
 
-    def run(self, jobs: Sequence[IndexedJob]) -> SupervisionReport:
-        """Execute ``jobs`` to completion or quarantine; see module doc."""
+        Each completion is streamed as ``on_result(index, result)``, in
+        completion order.  ``should_abort`` is polled once per
+        supervision tick; when it returns true the run stops early and
+        abandons its in-flight attempts.
+        """
         report = SupervisionReport()
         states = [
             _TaskState(task_id, job, self.faults.get(task_id))
@@ -324,112 +431,117 @@ class SupervisedWorkerPool:
         ]
         if not states:
             return report
+        self._run_id += 1
+        if self.processes == 1 and self.policy.task_timeout is None:
+            self._run_serial(states, report, on_result, should_abort)
+            return report
+
         #: Min-heap of (eligible_at, insertion_seq, task_id).
         ready: List[Tuple[float, int, int]] = [
             (0.0, task_id, task_id) for task_id in range(len(states))
         ]
-        heapq.heapify(ready)
-        self._seq = len(states)
+        sequence = len(states)
+        remaining = len(states)
 
-        if self.processes == 1:
-            self._run_serial(states, report)
-            return report
-
-        ctx = mp_context()
-        result_queue = ctx.Queue()
-        slots = [
-            self._spawn_slot(ctx, result_queue)
-            for _ in range(min(self.processes, len(states)))
-        ]
-        timeout = self.policy.task_timeout
-
-        def unfinished() -> bool:
-            return any(not s.finished for s in states)
-
-        def fail_and_maybe_requeue(state: _TaskState, kind: str, detail: str):
+        def fail(state: _TaskState, kind: str, detail: str) -> None:
+            nonlocal sequence, remaining
             delay = self._record_failure(report, state, kind, detail)
-            if delay is not None:
-                self._seq += 1
+            if delay is None:
+                remaining -= 1
+            else:
+                sequence += 1
                 heapq.heappush(
-                    ready, (time.monotonic() + delay, self._seq, state.task_id)
+                    ready, (time.monotonic() + delay, sequence, state.task_id)
                 )
 
+        with self._lock:
+            while len(self._slots) < min(self.processes, len(states)):
+                self._slots.append(_WorkerSlot())
+            for slot in self._slots:
+                if slot.process is None:
+                    self._start_worker(slot)
         try:
-            while unfinished():
-                now = time.monotonic()
-
-                # 1. Reap crashed workers (dead process = hard crash).
-                for position, slot in enumerate(slots):
-                    if slot.process.is_alive():
-                        continue
-                    if slot.current is not None:
-                        tid, attempt, _ = slot.current
-                        state = states[tid]
-                        if not state.finished:
-                            fail_and_maybe_requeue(
-                                state,
-                                "crash",
-                                f"worker pid {slot.process.pid} exited "
-                                f"{slot.process.exitcode} on attempt {attempt}",
-                            )
-                        slot.current = None
-                    self._respawn_slot(slots, position, ctx, result_queue, report)
-
-                # 2. Enforce per-task timeouts (terminate + respawn).
-                if timeout is not None:
-                    for position, slot in enumerate(slots):
-                        if slot.current is None or now <= slot.current[2]:
-                            continue
-                        tid, attempt, _ = slot.current
-                        state = states[tid]
-                        slot.process.terminate()
-                        slot.current = None
-                        if not state.finished:
-                            fail_and_maybe_requeue(
-                                state,
-                                "timeout",
-                                f"attempt {attempt} exceeded "
-                                f"{timeout:g}s task timeout",
-                            )
-                        self._respawn_slot(
-                            slots, position, ctx, result_queue, report
-                        )
-
-                # 3. Degrade to serial when the pool keeps dying.
+            while remaining:
+                if should_abort is not None and should_abort():
+                    break
+                with self._lock:
+                    self._supervise(states, report, fail)
                 if report.respawns > self.policy.max_pool_respawns:
                     report.degraded_to_serial = True
                     self.metrics.inc("resilience.degraded_to_serial")
                     break
-
-                # 4. Assign eligible ready tasks to idle workers.
-                for slot in slots:
-                    if slot.current is not None or not slot.process.is_alive():
-                        continue
-                    tid = self._pop_ready(ready, states, now)
-                    if tid is None:
-                        break
-                    state = states[tid]
-                    attempt = state.failures
-                    deadline = now + timeout if timeout is not None else float("inf")
-                    slot.task_queue.put(
-                        (tid, attempt, state.job, state.fault)
-                    )
-                    slot.current = (tid, attempt, deadline)
-
-                # 5. Drain completions (block briefly for the first one).
-                self._drain(result_queue, slots, states, report,
-                            fail_and_maybe_requeue)
-
+                self._assign(ready, states)
+                completed = self._drain(states, fail)
+                if completed:
+                    # Hand freed workers their next task before the
+                    # caller's per-result work (fsyncs) runs.
+                    self._assign(ready, states)
+                for payload in completed:
+                    remaining -= 1
+                    on_result(*payload)
             if report.degraded_to_serial:
-                for slot in slots:
-                    if slot.process.is_alive():
-                        slot.process.terminate()
-                self._run_serial(states, report)
+                self.terminate()
+                self._run_serial(states, report, on_result, should_abort)
         finally:
-            self._shutdown(slots)
-            result_queue.cancel_join_thread()
-            result_queue.close()
+            # An early exit (abort, a raising callback) abandons the
+            # attempts still in flight: recycle their workers so the
+            # next run starts on idle ones.
+            with self._lock:
+                for slot in self._slots:
+                    if slot.current is not None:
+                        self._dispose(slot)
         return report
+
+    def _supervise(self, states, report, fail) -> None:
+        """Reap crashed workers and enforce timeouts (lock held)."""
+        now = time.monotonic()
+        for slot in self._slots:
+            if slot.process.is_alive():
+                continue
+            if slot.current is not None:
+                tid, attempt, _, _ = slot.current
+                if not states[tid].finished:
+                    fail(
+                        states[tid],
+                        "crash",
+                        f"worker pid {slot.process.pid} exited "
+                        f"{slot.process.exitcode} on attempt {attempt}",
+                    )
+            self._respawn(slot, report)
+        timeout = self.policy.task_timeout
+        if timeout is None:
+            return
+        for slot in self._slots:
+            if slot.current is None or now <= slot.current[3]:
+                continue
+            tid, attempt, _, _ = slot.current
+            slot.process.terminate()
+            if not states[tid].finished:
+                fail(
+                    states[tid],
+                    "timeout",
+                    f"attempt {attempt} exceeded {timeout:g}s task timeout",
+                )
+            self._respawn(slot, report)
+
+    def _assign(self, ready, states) -> None:
+        """Give every idle, live worker its next eligible task."""
+        now = time.monotonic()
+        timeout = self.policy.task_timeout
+        with self._lock:
+            for slot in self._slots:
+                if slot.current is not None or not slot.process.is_alive():
+                    continue
+                tid = self._pop_ready(ready, states, now)
+                if tid is None:
+                    return
+                state = states[tid]
+                attempt = state.failures
+                slot.task_queue.put(
+                    (self._run_id, tid, attempt, state.job, state.fault)
+                )
+                deadline = now + timeout if timeout is not None else float("inf")
+                slot.current = (tid, attempt, now, deadline)
 
     @staticmethod
     def _pop_ready(
@@ -449,32 +561,40 @@ class SupervisedWorkerPool:
             return tid
         return None
 
-    def _drain(self, result_queue, slots, states, report, fail_cb) -> None:
-        """Consume worker messages; block at most one poll interval."""
-        import queue as queue_module
+    def _drain(self, states, fail) -> List[Tuple[int, Any]]:
+        """Consume worker messages; block at most one poll interval.
 
+        Returns the newly completed ``(index, result)`` payloads; failed
+        attempts go to ``fail``.  Messages from an earlier run are
+        dropped.
+        """
+        completed: List[Tuple[int, Any]] = []
         block = True
         while True:
             try:
-                message = result_queue.get(
+                message = self._result_queue.get(
                     timeout=_POLL_SECONDS if block else 0.0
                 )
             except queue_module.Empty:
-                return
+                return completed
             block = False
-            tid, attempt, status, payload = message
+            run_id, tid, attempt, status, payload = message
+            if run_id != self._run_id:
+                continue  # a late completion from an abandoned run
+            with self._lock:
+                for slot in self._slots:
+                    if slot.current is not None and slot.current[:2] == (tid, attempt):
+                        slot.current = None
+                        slot.completed += status == "ok"
+                        break
             state = states[tid]
-            for slot in slots:
-                if slot.current is not None and slot.current[0] == tid:
-                    slot.current = None
-                    break
             if state.finished:
                 continue  # late completion of a retried/raced attempt
             if status == "ok":
                 state.done = True
-                report.results[tid] = payload
+                completed.append(payload)
             else:
-                fail_cb(state, "error", str(payload))
+                fail(state, "error", str(payload))
 
 
 __all__ = [

@@ -2,19 +2,18 @@
 
 The one-shot CLI runs a campaign and exits; this package keeps the
 execution stack resident as a *daemon* so many campaigns share warm
-shards and one result cache, and so a crash — of a shard **or of the
+workers and one result cache, and so a crash — of a worker **or of the
 daemon itself** — costs a cache-hot replay instead of lost work:
 
 * :mod:`repro.service.journal` — the crash-safe persistent priority
   queue (append-only JSONL journal, fsync'd acks, atomic segment
   rotation, torn-line-tolerant replay);
-* :mod:`repro.service.shard` — the supervised multi-process shard
-  fleet (key-space cache partitions, heartbeat probes, respawn,
-  quarantine, inline degradation);
 * :mod:`repro.service.daemon` — the service core: admission control
-  with ``retry_after`` load shedding, campaign execution with
-  per-campaign checkpoints, byte-identical result streams, and one
-  ``service`` manifest record per campaign;
+  with ``retry_after`` load shedding, campaign execution on one
+  persistent :class:`~repro.resilience.SupervisedWorkerPool` (per-task
+  retry, timeout, and quarantine) with per-campaign checkpoints,
+  byte-identical result streams, and one ``service`` manifest record
+  per campaign;
 * :mod:`repro.service.protocol` / :mod:`repro.service.client` — the
   JSON-line Unix-socket job API (``submit``/``status``/``results``/
   ``cancel``/``drain``) and its client;
@@ -35,7 +34,6 @@ from .journal import (
     RecoveryReport,
 )
 from .protocol import PROTOCOL_VERSION, ProtocolError
-from .shard import ShardManager, ShardReport, ShardTask, route_key
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
@@ -49,8 +47,4 @@ __all__ = [
     "RecoveryReport",
     "ServiceClient",
     "ServiceError",
-    "ShardManager",
-    "ShardReport",
-    "ShardTask",
-    "route_key",
 ]

@@ -3,14 +3,15 @@
 ``repro-sim serve`` turns the one-shot campaign runner into an always-on
 service: clients submit compiled :mod:`repro.design` documents over a
 local Unix socket, the daemon queues them durably
-(:class:`~repro.service.journal.PersistentQueue`), executes them across
-supervised shard processes (:class:`~repro.service.shard.ShardManager`),
-and streams results back incrementally.  Every durable artifact lives
+(:class:`~repro.service.journal.PersistentQueue`), executes them on one
+persistent supervised worker pool
+(:class:`~repro.resilience.SupervisedWorkerPool`), and streams results
+back incrementally.  Every durable artifact lives
 under one *spool* directory::
 
     spool/
       journal/          the persistent queue (append-only JSONL segments)
-      cache/            the shared ResultCache (shards own key partitions)
+      cache/            the shared ResultCache (the daemon writes results)
       checkpoints/      one CampaignCheckpoint per campaign
       results/          one result stream per campaign (canonical JSONL)
       requests.jsonl    the request log (every op, its outcome)
@@ -25,7 +26,7 @@ restart the journal replays, in-flight campaigns are re-queued with
 (cache-hot replay), and the regenerated result stream is **byte-identical**
 to a fault-free run — every replication derives everything from
 ``(config, seed, replication)`` and streams in job-index order as
-canonical JSON.  SIGKILL'd daemons cannot reap their shards; shards
+canonical JSON.  SIGKILL'd daemons cannot reap their workers; workers
 notice the reparenting (``os.getppid()``) and exit on their own.
 
 **Admission control.**  The queue depth is bounded: past
@@ -33,14 +34,17 @@ notice the reparenting (``os.getppid()``) and exit on their own.
 with a ``retry_after`` hint — the backlog-drain estimate from the same
 :class:`~repro.experiments.scheduler.JobSecondsEstimator` model the
 scheduler plans dispatch with.  Degradation is graceful the rest of the
-way down too: dead shards respawn, repeatedly-dying shards are
-quarantined and their key partition re-routed, and with zero healthy
-shards campaigns execute inline in the daemon process.
+way down too: a crashed worker respawns and its replication is retried,
+a replication that outlives ``heartbeat_timeout`` is killed and retried,
+and a pool that keeps dying finishes the campaign inline in the daemon
+process.  A replication that fails every attempt is quarantined: its
+campaign ends ``failed``, naming the job, and the next campaign gets the
+full pool.
 
 **Fault hooks** (deterministic kill points for the soak harness): a
-shard can be armed to crash after N tasks (``kill_after_tasks``), and
-the daemon itself can SIGKILL its own process after recording N results
-(``fault_kill_after_results``).
+:class:`~repro.faults.FaultPlan` injures chosen pending tasks of every
+campaign (``--crash-task N``), and the daemon itself can SIGKILL its own
+process after recording N results (``fault_kill_after_results``).
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..core.cache import ResultCache, result_key
+from ..core.cache import ResultCache
 from ..core.serialization import result_to_dict
 
 # repro.experiments must initialize before repro.design (the design
@@ -64,8 +68,15 @@ from ..experiments.scheduler import JobSecondsEstimator
 from ..design.compile import compile_design
 from ..design.io import design_from_dict
 from ..design.model import DesignError
+from ..faults.plan import FaultPlan
 from ..obs.manifest import append_manifest, build_manifest
 from ..resilience.checkpoint import CampaignCheckpoint, fsync_directory
+from ..resilience.policy import RetryPolicy
+from ..resilience.supervisor import (
+    FailureEvent,
+    SupervisedWorkerPool,
+    SupervisionReport,
+)
 from .journal import PersistentQueue, QueuedCampaign
 from .protocol import (
     PROTOCOL_VERSION,
@@ -73,7 +84,6 @@ from .protocol import (
     encode,
     read_line,
 )
-from .shard import ShardManager, ShardReport, ShardTask
 
 #: Executor idle-poll period and accept-loop timeout.
 _TICK_SECONDS = 0.1
@@ -97,7 +107,6 @@ class CampaignState:
     streamed: int = 0
     error: Optional[str] = None
     wall_seconds: float = 0.0
-    shard_report: Optional[ShardReport] = None
     resume: Optional[Dict[str, int]] = None
 
     def summary(self) -> Dict[str, Any]:
@@ -124,7 +133,7 @@ class CampaignDaemon:
         shards: int = 2,
         max_queue_depth: int = 8,
         heartbeat_timeout: float = 30.0,
-        kill_after_tasks: Optional[Dict[int, int]] = None,
+        fault_plan: Optional[FaultPlan] = None,
         fault_kill_after_results: Optional[int] = None,
         fsync: bool = True,
     ) -> None:
@@ -135,11 +144,13 @@ class CampaignDaemon:
         self.cache = ResultCache(self.spool / "cache")
         self.max_queue_depth = max_queue_depth
         self.job_seconds = JobSecondsEstimator()
-        self.manager = ShardManager(
-            shards=shards,
-            cache_root=str(self.spool / "cache"),
-            heartbeat_timeout=heartbeat_timeout,
-            kill_after_tasks=kill_after_tasks,
+        # ``heartbeat_timeout`` bounds one replication: a worker whose
+        # task outlives it is killed and the task retried.
+        self.pool = SupervisedWorkerPool(
+            shards,
+            policy=RetryPolicy(task_timeout=heartbeat_timeout),
+            faults=fault_plan,
+            graphs=self.cache,
         )
         self.fault_kill_after_results = fault_kill_after_results
         self._results_recorded = 0
@@ -207,9 +218,9 @@ class CampaignDaemon:
                 for c in self._campaigns.values()
                 if c.state in ("queued", "running")
             )
-        workers = max(1, self.manager.healthy_shards() or 1)
         return round(
-            max(1.0, backlog_jobs * self.job_seconds.estimate / workers), 3
+            max(1.0, backlog_jobs * self.job_seconds.estimate / self.pool.processes),
+            3,
         )
 
     def submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -310,7 +321,7 @@ class CampaignDaemon:
                     "max_depth": self.max_queue_depth,
                     "recovery": self.queue.recovery.to_dict(),
                 },
-                "shards": self.manager.probe(),
+                "workers": self.pool.probe(),
                 "campaigns": campaigns,
             }
         self._log_request("status", None, True)
@@ -388,9 +399,9 @@ class CampaignDaemon:
         keys = compiled.job_keys()
         state.total_jobs = len(compiled.jobs)
 
-        # interval=1: every completion is an fsync'd append before the
-        # next dispatch — a SIGKILL'd daemon loses at most the in-flight
-        # replication, and the resume report proves it.
+        # interval=1: every completion is an fsync'd append as it streams
+        # in — a SIGKILL'd daemon loses at most the replications in
+        # flight, and the resume report proves it.
         checkpoint = CampaignCheckpoint(
             self._checkpoint_path(claimed.campaign_id),
             label=claimed.campaign_id,
@@ -401,9 +412,8 @@ class CampaignDaemon:
         # Cache-first pass: a recovered campaign finds its earlier work
         # here, which is exactly what makes replay cheap and
         # byte-identical.
-        tasks: List[ShardTask] = []
+        tasks: List[Tuple[int, Any, int, int]] = []
         cache_present: List[bool] = []
-        prefilled = 0
         for index, job in enumerate(compiled.jobs):
             hit = self.cache.get(job.config, job.seed, job.replication)
             cache_present.append(hit is not None)
@@ -411,18 +421,13 @@ class CampaignDaemon:
                 with self._cond:
                     state.results[index] = result_to_dict(hit)
                 checkpoint.record(keys[index])
-                prefilled += 1
             else:
-                tasks.append(
-                    ShardTask(
-                        index=index,
-                        key=keys[index],
-                        job=(index, job.config, job.seed, job.replication),
-                    )
-                )
+                tasks.append((index, job.config, job.seed, job.replication))
+        prefilled = len(compiled.jobs) - len(tasks)
         if claimed.recovered and checkpoint.previously_completed:
             state.resume = checkpoint.reconcile(keys, cache_present).to_dict()
 
+        cache_errors: List[FailureEvent] = []
         results_file = self._results_path(claimed.campaign_id).open(
             "w", encoding="utf-8"
         )
@@ -430,8 +435,18 @@ class CampaignDaemon:
             self._stream_ready(state, results_file)
 
             def on_result(index: int, result) -> None:
+                # Cache before checkpoint: a checkpointed key always
+                # names an entry a recovered campaign can prefill from.
+                try:
+                    self.cache.put(result)
+                except OSError as exc:
+                    cache_errors.append(
+                        FailureEvent(-1, keys[index], 0, "cache-write",
+                                     "continue", f"{type(exc).__name__}: {exc}")
+                    )
+                document = result_to_dict(result)
                 with self._cond:
-                    state.results[index] = result_to_dict(result)
+                    state.results[index] = document
                     checkpoint.record(keys[index])
                     self._stream_ready(state, results_file)
                     self._cond.notify_all()
@@ -439,12 +454,13 @@ class CampaignDaemon:
                 self._maybe_self_kill()
 
             dispatch_start = time.perf_counter()
-            report = self.manager.execute(
+            report = self.pool.run(
                 tasks, on_result, should_abort=self._stopping.is_set
             )
+            report.events.extend(cache_errors)
             self.job_seconds.note(
-                executed=report.executed,
-                workers=max(1, self.manager.healthy_shards()),
+                executed=len(tasks) - len(report.quarantined),
+                workers=self.pool.processes,
                 wall=time.perf_counter() - dispatch_start,
             )
             results_file.flush()
@@ -456,18 +472,30 @@ class CampaignDaemon:
         checkpoint.flush()
 
         with self._cond:
-            if len(state.results) < state.total_jobs:
+            if report.quarantined:
+                failed = [tasks[task_id][0] for task_id in report.quarantined]
+                state.state = "failed"
+                state.error = (
+                    f"job(s) {failed} quarantined after "
+                    f"{self.pool.policy.max_attempts} failed attempt(s): "
+                    + "; ".join(
+                        f"{e.key}: {e.detail}"
+                        for e in report.events
+                        if e.action == "quarantine"
+                    )
+                )
+            elif len(state.results) < state.total_jobs:
                 # Aborted mid-campaign (shutdown): leave it claimed in the
                 # journal so the next daemon recovers it.
                 state.error = "interrupted"
                 self._cond.notify_all()
                 return
-            state.state = "done"
+            else:
+                state.state = "done"
             state.wall_seconds = time.perf_counter() - start
-            state.shard_report = report
             self.queue.ack(claimed.campaign_id)
             self._cond.notify_all()
-        self._write_manifest(state, report, prefilled)
+        self._write_manifest(state, report, prefilled, tasks)
 
     def _stream_ready(self, state: CampaignState, handle) -> None:
         """Persist the contiguous completed prefix, in job-index order."""
@@ -495,38 +523,47 @@ class CampaignDaemon:
             os.kill(os.getpid(), signal.SIGKILL)
 
     def _write_manifest(
-        self, state: CampaignState, report: ShardReport, prefilled: int
+        self,
+        state: CampaignState,
+        report: SupervisionReport,
+        prefilled: int,
+        tasks: List[Tuple[int, Any, int, int]],
     ) -> None:
         """Append one ``service`` manifest record for a finished campaign."""
-        events = [
-            {"kind": "shard-death", "action": "respawn"}
-            for _ in range(report.respawns)
-        ] + [
-            {"kind": "shard-death", "action": "quarantine"}
-            for _ in report.quarantined_shards
-        ]
+        failures_by_kind = report.counts()
         resilience: Dict[str, Any] = {
-            "policy": None,
-            "retries": 0,
-            "quarantined": len(report.quarantined_shards),
-            "failures_by_kind": (
-                {"shard-death": report.respawns + len(report.quarantined_shards)}
-                if events
-                else {}
-            ),
-            "cache_write_errors": 0,
+            "policy": self.pool.policy.to_dict(),
+            "retries": report.retries,
+            "quarantined": len(report.quarantined),
+            "failures_by_kind": failures_by_kind,
+            "cache_write_errors": failures_by_kind.get("cache-write", 0),
             "pool_respawns": report.respawns,
-            "degraded_to_serial": report.inline_fallback > 0,
-            "quarantined_jobs": [],
-            "events": events,
+            "degraded_to_serial": report.degraded_to_serial,
+            "quarantined_jobs": [
+                {
+                    "scenario": tasks[task_id][1].name,
+                    "seed": tasks[task_id][2],
+                    "replication": tasks[task_id][3],
+                    "failures": self.pool.policy.max_attempts,
+                }
+                for task_id in report.quarantined
+            ],
+            "events": [event.to_dict() for event in report.events],
         }
         if state.resume is not None:
             resilience["resume"] = dict(state.resume)
+        executed = state.total_jobs - prefilled - len(report.quarantined)
         service_section = {
             "campaign": state.campaign_id,
             "recovered": state.recovered,
             "queue": self.queue.recovery.to_dict(),
-            "shards": report.to_dict(),
+            "shards": {
+                "executed": executed,
+                "cache_hits": prefilled,
+                "respawns": report.respawns,
+                "inline_fallback": report.completed_inline,
+                "reassigned_tasks": report.retries,
+            },
             "requests": dict(sorted(self._request_counts.items())),
             "prefilled_from_cache": prefilled,
         }
@@ -690,7 +727,6 @@ class CampaignDaemon:
         server = self._claim_socket(socket_path)
         server.listen(16)
         server.settimeout(_TICK_SECONDS)
-        self.manager.start()
         self._executor = threading.Thread(
             target=self._executor_loop, name="campaign-executor", daemon=True
         )
@@ -721,7 +757,7 @@ class CampaignDaemon:
         if self._executor is not None:
             self._executor.join(timeout=10.0)
             self._executor = None
-        self.manager.close()
+        self.pool.close()
         self.queue.close()
 
 

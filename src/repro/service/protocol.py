@@ -16,7 +16,7 @@ streams:
     malformed design is rejected at submit time, not at execution time.
 
 ``{"op": "status"}`` / ``{"op": "status", "id": "..."}``
-    → daemon-wide state (queue depth, shard health probes, campaign
+    → daemon-wide state (queue depth, worker health probes, campaign
     table) or one campaign's record.
 
 ``{"op": "results", "id": "..."}``

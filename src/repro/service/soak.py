@@ -16,10 +16,10 @@ daemon resumes byte-identically*:
    **byte for byte**.  The campaign's ``service`` manifest record must
    show the queue recovery (``in_flight >= 1``) and a resume split with
    both resumed and fresh work (proof the kill landed mid-campaign).
-2. **Shard death** — a second campaign runs on the restarted daemon
-   with a shard armed to crash (``--kill-shard``); its manifest record
-   must show ``pool_respawns >= 1`` with results still matching a
-   fault-free reference.
+2. **Worker death** — a second campaign runs on a restarted daemon whose
+   first pending task hard-crashes its worker (``--crash-task 0``); the
+   campaign must complete and its manifest record must show
+   ``pool_respawns >= 1`` and the crash event.
 
 Exit code 0 = every check passed; 1 = failures (listed on stderr).
 CI runs this in the ``service`` job.
@@ -208,13 +208,12 @@ def run_soak(root: Path, keep: bool = False) -> int:
             problems,
         )
 
-        # -- phase 2: shard death on the live daemon ----------------------
-        # (submitted to the SAME daemon: proves multi-campaign operation;
-        # different seed so the work is not already cached)
-        print("phase 2: shard crash mid-campaign on the restarted daemon")
+        # -- phase 2: worker death on the same spool ----------------------
+        # (different seed so the work is not already cached)
+        print("phase 2: worker crash mid-campaign on the restarted daemon")
         _stop_daemon(restarted, client)
         restarted = _spawn_daemon(
-            kill_spool, kill_socket, ["--kill-shard", "0:1"]
+            kill_spool, kill_socket, ["--crash-task", "0"]
         )
         client = ServiceClient(kill_socket)
         client.wait_ready()
@@ -223,7 +222,7 @@ def run_soak(root: Path, keep: bool = False) -> int:
         _wait_for_state(client, second_id, "done")
         _check(
             len(second_frames) == SOAK_JOBS,
-            "campaign survived the shard crash",
+            "campaign survived the worker crash",
             problems,
         )
     finally:
@@ -258,11 +257,19 @@ def run_soak(root: Path, keep: bool = False) -> int:
             problems,
         )
     crashed = by_campaign.get(second_id)
-    _check(crashed is not None, "shard-crash campaign wrote a manifest", problems)
+    _check(crashed is not None, "worker-crash campaign wrote a manifest", problems)
     if crashed is not None:
         _check(
             crashed["resilience"]["pool_respawns"] >= 1,
-            "manifest records the shard respawn",
+            "manifest records the worker respawn",
+            problems,
+        )
+        _check(
+            any(
+                event["kind"] == "crash"
+                for event in crashed["resilience"]["events"]
+            ),
+            "manifest records the crash event",
             problems,
         )
     request_log = kill_spool / "requests.jsonl"

@@ -28,7 +28,7 @@ from repro.des.random import StreamFactory
 from repro.experiments.scheduler import ReplicationJob, ReplicationScheduler
 from repro.faults import flip_byte
 from repro.resilience import RetryPolicy
-from repro.service.shard import ShardManager, ShardTask
+from repro.service import CampaignDaemon
 from repro.topology.csr import csr_powerlaw
 
 SEEDS = (3, 11)
@@ -178,7 +178,7 @@ def test_scheduler_under_spawn_stores_each_graph_once(scenario, tmp_path, monkey
     assert telemetry["graph_bytes"] == sum(p.stat().st_size for p in _graph_files(cache))
 
 
-def test_supervised_pool_and_shards_use_the_store(scenario, tmp_path):
+def test_supervised_and_daemon_pools_use_the_store(scenario, tmp_path, monkeypatch):
     jobs = [ReplicationJob(scenario, 3, replication) for replication in REPLICATIONS]
     expected = [_canonical(run_scenario(scenario, 3, r)) for r in REPLICATIONS]
 
@@ -189,16 +189,23 @@ def test_supervised_pool_and_shards_use_the_store(scenario, tmp_path):
         assert [_canonical(r) for r in sched.run_jobs(jobs)] == expected
     assert len(_graph_files(cache)) == len(REPLICATIONS)
 
-    root = tmp_path / "shards"
+    # The daemon's own pool under spawn: its cache reaches the workers
+    # pickled as the graph store, and results stream back.
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("start method 'spawn' unavailable on this platform")
+    monkeypatch.setenv(START_METHOD_ENV, "spawn")
+    daemon = CampaignDaemon(tmp_path / "spool", shards=2)
     results = {}
-    tasks = [
-        ShardTask(index=i, key=f"{i:08x}", job=(i, scenario, 3, replication))
-        for i, replication in enumerate(REPLICATIONS)
-    ]
-    with ShardManager(shards=2, cache_root=str(root)) as manager:
-        manager.execute(tasks, results.__setitem__)
-    assert [_canonical(results[i]) for i in range(len(tasks))] == expected
-    assert len(_graph_files(ResultCache(root))) == len(REPLICATIONS)
+    try:
+        assert daemon.pool._ctx.get_start_method() == "spawn"
+        daemon.pool.run(
+            [(i, job.config, job.seed, job.replication) for i, job in enumerate(jobs)],
+            results.__setitem__,
+        )
+    finally:
+        daemon.close()
+    assert [_canonical(results[i]) for i in range(len(jobs))] == expected
+    assert len(_graph_files(daemon.cache)) == len(REPLICATIONS)
 
 
 def test_no_cache_scheduler_writes_no_graphs(scenario, tmp_path, monkeypatch):

@@ -143,7 +143,8 @@ class TestQuarantineNeverReenters:
         pool = SupervisedWorkerPool(
             1, policy=policy, faults={1: plan.spec_for(1)}
         )
-        report = pool.run(tiny_jobs)
+        results = {}
+        report = pool.run(tiny_jobs, results.__setitem__)
         assert report.quarantined == [1]
         failures = [e for e in report.events if e.task_id == 1]
         # One failure event per attempt, not one more: never re-queued.
@@ -152,4 +153,4 @@ class TestQuarantineNeverReenters:
         assert failures[-1].action == "quarantine"
         assert all(e.action == "retry" for e in failures[:-1])
         # The healthy tasks still completed exactly once.
-        assert sorted(report.results) == [0, 2]
+        assert sorted(results) == [0, 2]

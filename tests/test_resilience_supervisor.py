@@ -1,13 +1,20 @@
 """Supervised worker pool: crash/hang/corruption recovery, byte-identically.
 
-The fast serial-path tests run in tier-1; everything that injures real
-worker processes carries the ``faultinject`` marker (deselected by
-default, run with ``-m faultinject``).
+The fast serial-path and lifecycle tests run in tier-1; everything that
+injures real worker processes carries the ``faultinject`` marker
+(deselected by default, run with ``-m faultinject``).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +29,7 @@ from repro.core.simulation import replicate_scenario
 from repro.experiments import ReplicationScheduler
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs.manifest import read_manifests, validate_manifest
-from repro.resilience import RetryPolicy
+from repro.resilience import RetryPolicy, SupervisedWorkerPool
 
 
 @pytest.fixture
@@ -88,6 +95,41 @@ class TestSerialSupervised:
         ]
         summary = scheduler.failure_summary()
         assert summary and "sup-mini" in summary[0]
+
+
+class TestPersistentPool:
+    """One pool serves many runs: workers are reused, completions stream,
+    and nothing from an earlier run leaks into a later one."""
+
+    def test_workers_persist_across_runs_and_results_stream(self, mini_scenario):
+        expected = replicate_scenario(mini_scenario, replications=4, seed=9)
+        jobs = [(i, mini_scenario, 9, i) for i in range(4)]
+        first, second = {}, {}
+        with SupervisedWorkerPool(2, policy=FAST_POLICY) as pool:
+            pool.run(jobs, first.__setitem__)
+            pids = [slot.process.pid for slot in pool._slots]
+            pool.run(jobs, second.__setitem__)
+            assert [slot.process.pid for slot in pool._slots] == pids
+            probe = pool.probe()
+        assert pool.probe() == []  # closed: every worker reaped
+        assert [first[i].infection_times for i in range(4)] == _times(expected)
+        assert [second[i].infection_times for i in range(4)] == _times(expected)
+        assert [w["worker"] for w in probe] == [0, 1]
+        assert all(w["alive"] and w["busy_seconds"] == 0.0 for w in probe)
+        assert sum(w["completed"] for w in probe) == 8
+
+    def test_stale_message_from_an_earlier_run_is_dropped(self, mini_scenario):
+        expected = replicate_scenario(mini_scenario, replications=2, seed=9)
+        jobs = [(i, mini_scenario, 9, i) for i in range(2)]
+        with SupervisedWorkerPool(2, policy=FAST_POLICY) as pool:
+            pool.run(jobs, lambda index, result: None)
+            # A completion of task 0 tagged with the finished run, as a
+            # terminated attempt could leave behind in the result queue.
+            pool._result_queue.put((pool._run_id, 0, 0, "ok", (0, "stale")))
+            time.sleep(0.1)  # let the queue's feeder thread flush it
+            results = {}
+            pool.run(jobs, results.__setitem__)
+        assert [results[i].infection_times for i in range(2)] == _times(expected)
 
 
 @pytest.mark.faultinject
@@ -193,6 +235,67 @@ class TestFaultInjection:
         expected_times = _times(expected)
         for result in got.results:
             assert result.infection_times == expected_times[result.replication]
+
+
+    def test_no_orphaned_workers_after_parent_sigkill(self, tmp_path):
+        """A SIGKILL'd parent cannot reap its workers: they must notice
+        the reparenting and exit on their own, mid-campaign."""
+        if not os.path.isdir("/proc"):  # pragma: no cover - non-Linux
+            pytest.skip("needs /proc to inspect the workers")
+        script = tmp_path / "parent.py"
+        script.write_text(textwrap.dedent(
+            """
+            import multiprocessing
+
+            from repro.core import NetworkParameters
+            from repro.core.scenarios import baseline_scenario
+            from repro.resilience import SupervisedWorkerPool
+
+            config = baseline_scenario(
+                3, network=NetworkParameters(population=150), duration=12.0
+            )
+            pool = SupervisedWorkerPool(2)
+            announced = []
+
+            def announce(index, result):
+                if not announced:
+                    pids = [p.pid for p in multiprocessing.active_children()]
+                    print(*pids, flush=True)
+                    announced.append(pids)
+
+            pool.run([(i, config, 1, i) for i in range(100)], announce)
+            """
+        ))
+        src = Path(__file__).resolve().parents[1] / "src"
+        parent = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            text=True,
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+            parent.stdout.close()
+        assert len(pids) == 2
+
+        def running(pid: int) -> bool:
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    state = handle.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state not in ("Z", "X")  # a zombie has already exited
+
+        deadline = time.monotonic() + 2.0
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = [pid for pid in pids if running(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert alive == [], "workers outlived their SIGKILL'd parent"
 
 
 @pytest.mark.faultinject

@@ -1,9 +1,9 @@
-"""Tests for the campaign daemon: protocol framing, sharding, admission
-control, manifest schema, and (``service``-marked) end-to-end runs over
-the Unix socket.
+"""Tests for the campaign daemon: protocol framing, fault-hook flags,
+admission control, manifest schema, and (``service``-marked) end-to-end
+runs over the Unix socket.
 
 The unmarked tests exercise the daemon's request methods directly --
-no socket, no shard processes -- so they stay in the tier-1 budget.
+no socket, no worker processes -- so they stay in the tier-1 budget.
 The ``service``-marked tests serve a real daemon in a thread and drive
 it through :class:`repro.service.ServiceClient`, including the headline
 invariant: a recovered campaign's result stream is byte-identical to the
@@ -36,14 +36,14 @@ from repro.obs.manifest import (
     read_manifests,
     validate_manifest,
 )
+from repro.faults import FaultPlan, FaultSpec
 from repro.service import (
     CampaignDaemon,
     PersistentQueue,
     ServiceClient,
     ServiceError,
-    route_key,
 )
-from repro.service.__main__ import parse_kill_shard
+from repro.service.__main__ import build_parser, crash_task_plan
 from repro.service.protocol import (
     MAX_REQUEST_BYTES,
     ProtocolError,
@@ -162,28 +162,23 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# shard routing
+# fault-hook flags
 
 
-def test_route_key_is_deterministic_and_in_range():
-    import hashlib
-
-    keys = [
-        hashlib.sha256(str(value).encode()).hexdigest() for value in range(100)
-    ]
-    for shards in (1, 2, 5):
-        routes = [route_key(key, shards) for key in keys]
-        assert routes == [route_key(key, shards) for key in keys]
-        assert all(0 <= r < shards for r in routes)
-    # With several shards the partition must actually split the space.
-    assert len(set(route_key(key, 4) for key in keys)) > 1
-
-
-def test_parse_kill_shard():
-    assert parse_kill_shard([]) == {}
-    assert parse_kill_shard(["0:1", "2:5"]) == {0: 1, 2: 5}
-    with pytest.raises(SystemExit):
-        parse_kill_shard(["nonsense"])
+def test_parse_crash_task():
+    args = build_parser().parse_args(["--spool", "s"])
+    assert args.crash_task == [] and crash_task_plan(args.crash_task) is None
+    args = build_parser().parse_args(
+        ["--spool", "s", "--crash-task", "0", "--crash-task", "3"]
+    )
+    plan = crash_task_plan(args.crash_task)
+    assert dict(plan) == {
+        0: FaultSpec(crash_attempts=(0,)),
+        3: FaultSpec(crash_attempts=(0,)),
+    }
+    for bad in ("-1", "nonsense"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--spool", "s", "--crash-task", bad])
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,7 @@ class TestServiceManifest:
 
 
 # ---------------------------------------------------------------------------
-# admission control (daemon methods, no socket, no shard processes)
+# admission control (daemon methods, no socket, no worker processes)
 
 
 @pytest.fixture
@@ -343,7 +338,7 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end over the socket (service tier: real shard processes)
+# end-to-end over the socket (service tier: real worker processes)
 
 
 @pytest.fixture
@@ -432,7 +427,7 @@ class TestCliEndToEnd:
         design_file.write_text(json.dumps(SMALL_DESIGN), encoding="utf-8")
         socket_path = service_root / "d.sock"
 
-        daemon = CampaignDaemon(service_root / "spool", shards=1)
+        daemon = CampaignDaemon(service_root / "spool", shards=2)
         with serving(daemon, socket_path):
             code = main(
                 [
@@ -448,7 +443,7 @@ class TestCliEndToEnd:
 
             assert main(["status", "--socket", str(socket_path)]) == 0
             status_out = capsys.readouterr().out
-            assert "queue:" in status_out and "shard 0:" in status_out
+            assert "queue:" in status_out and "worker 0: alive" in status_out
 
         # A zero-depth daemon sheds every submission: CLI exit code 4.
         shedding = CampaignDaemon(
@@ -548,24 +543,108 @@ class TestServiceEndToEnd:
 
     def test_shard_crash_respawns_and_campaign_survives(self, service_root):
         spool = service_root / "spool"
-        # One shard armed to die after its first task: every job routes
-        # to it, so the crash is certain and the respawn must finish the
-        # campaign.
+        # --crash-task 0: the first pending task hard-crashes its worker
+        # on attempt 0, so the crash is certain and the respawned worker
+        # must finish the campaign.
         daemon = CampaignDaemon(
-            spool, shards=1, kill_after_tasks={0: 1}
+            spool, shards=2, fault_plan=crash_task_plan([0])
         )
         with serving(daemon, service_root / "d.sock") as client:
             campaign_id = client.submit(SMALL_DESIGN, seed=SMALL_SEED)["id"]
             frames = list(client.results(campaign_id))
             wait_done(client, campaign_id)
         assert len(frames) == SMALL_JOBS
+        assert [
+            json.dumps(f, sort_keys=True, separators=(",", ":"))
+            for f in frames
+        ] == expected_result_lines()
 
         record = read_manifests(spool / "manifest.jsonl")[-1]
         assert record["resilience"]["pool_respawns"] >= 1
         assert any(
-            event["kind"] == "shard-death"
+            event["kind"] == "crash"
             for event in record["resilience"]["events"]
         )
+
+    def test_single_worker_reclaims_crashed_and_hung_tasks(self, service_root):
+        spool = service_root / "spool"
+        # --shards 1 still runs replications in a supervised worker
+        # process: a hard crash must not take the daemon down, and a
+        # hang must be reclaimed by the per-replication timeout.
+        daemon = CampaignDaemon(
+            spool,
+            shards=1,
+            heartbeat_timeout=1.0,
+            fault_plan=FaultPlan(
+                {
+                    0: FaultSpec(crash_attempts=(0,)),
+                    1: FaultSpec(hang_attempts=(0,), hang_seconds=60.0),
+                }
+            ),
+        )
+        with serving(daemon, service_root / "d.sock") as client:
+            campaign_id = client.submit(SMALL_DESIGN, seed=SMALL_SEED)["id"]
+            frames = list(client.results(campaign_id))
+            wait_done(client, campaign_id)
+            (worker,) = client.status()["workers"]
+            assert worker["alive"] and worker["respawns"] == 2
+        assert [
+            json.dumps(f, sort_keys=True, separators=(",", ":"))
+            for f in frames
+        ] == expected_result_lines()
+
+        record = read_manifests(spool / "manifest.jsonl")[-1]
+        assert validate_manifest(record) == []
+        assert record["resilience"]["failures_by_kind"] == {
+            "crash": 1,
+            "timeout": 1,
+        }
+        assert record["service"]["shards"]["respawns"] == 2
+        assert record["service"]["shards"]["inline_fallback"] == 0
+
+    def test_raising_job_fails_its_campaign_not_the_daemon(self, service_root):
+        spool = service_root / "spool"
+        # Pending task 1 raises on every attempt: it is quarantined and
+        # its campaign fails.  The resubmitted campaign finds job 0 in
+        # the cache, so its only pending task is job 1 at task id 0,
+        # which the plan leaves alone.
+        always = tuple(range(10))
+        daemon = CampaignDaemon(
+            spool,
+            shards=2,
+            fault_plan=FaultPlan({1: FaultSpec(raise_attempts=always)}),
+        )
+        with serving(daemon, service_root / "d.sock") as client:
+            failed_id = client.submit(SMALL_DESIGN, seed=SMALL_SEED)["id"]
+            with pytest.raises(ServiceError, match=r"job\(s\) \[1\] quarantined"):
+                list(client.results(failed_id))
+            record = client.status(failed_id)["campaign"]
+            assert record["state"] == "failed"
+            assert "virus1-baseline:s42:r1: InjectedTaskError" in record["error"]
+
+            second_id = client.submit(SMALL_DESIGN, seed=SMALL_SEED)["id"]
+            list(client.results(second_id))
+            wait_done(client, second_id)
+            workers = client.status()["workers"]
+            assert len(workers) == 2
+            assert all(worker["alive"] for worker in workers)
+
+        partial, stream = (
+            (spool / "results" / f"{campaign}.jsonl").read_text(encoding="utf-8")
+            for campaign in (failed_id, second_id)
+        )
+        assert partial.splitlines() == expected_result_lines()[:1]
+        assert stream.splitlines() == expected_result_lines()
+        failed, done = read_manifests(spool / "manifest.jsonl")
+        assert validate_manifest(failed) == [] == validate_manifest(done)
+        section = failed["resilience"]
+        assert section["quarantined"] == 1
+        assert section["failures_by_kind"] == {"error": 3}
+        assert section["quarantined_jobs"][0]["replication"] == 1
+        assert section["policy"]["task_timeout"] == 30.0
+        assert done["resilience"]["events"] == []
+        assert done["service"]["shards"]["cache_hits"] == 1
+        assert done["service"]["shards"]["executed"] == 1
 
     def test_cancel_drain_and_archived_replay(self, service_root):
         spool = service_root / "spool"
