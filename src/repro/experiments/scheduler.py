@@ -5,8 +5,9 @@ The unit of work for every figure, sweep, and CLI batch is one
 This module flattens whole experiments (and multi-experiment batches)
 into one job list, satisfies jobs from the disk-backed
 :class:`~repro.core.cache.ResultCache` where possible, dispatches the
-rest across a persistent :class:`~repro.core.parallel.WorkerPool` with
-chunked streaming, and reassembles completions deterministically: results
+rest across a persistent
+:class:`~repro.resilience.supervisor.SupervisedWorkerPool` one task per
+worker at a time, and reassembles completions deterministically: results
 land by job index, so the output is *bit-identical* to the serial path
 regardless of completion order, worker count, or cache state — each job
 derives its RNG streams from ``(seed, replication)`` alone.
@@ -17,12 +18,14 @@ Typical use::
         result = sched.run_experiment(get_experiment("fig3"), seed=2007)
         print(sched.stats)
 
-Fault tolerance: pass a :class:`~repro.resilience.RetryPolicy` as
-``resilience`` and pending jobs run under a
-:class:`~repro.resilience.SupervisedWorkerPool` — per-task timeouts,
-bounded retries with deterministic backoff, crashed-worker respawn, and
-task quarantine (the campaign continues; quarantined slots surface as
-``None`` results and in :meth:`failure_summary`).  Pass a
+Without a policy the pool runs fail-fast (``RetryPolicy(max_retries=0)``):
+a replication that raises, or whose worker dies, is not retried, and
+once the batch's other jobs have finished (and been cached) the batch
+raises an error naming it.  Fault tolerance: pass a
+:class:`~repro.resilience.RetryPolicy` as ``resilience`` for per-task
+timeouts, bounded retries with deterministic backoff, crashed-worker
+respawn, and task quarantine (the campaign continues; quarantined slots
+surface as ``None`` results and in :meth:`failure_summary`).  Pass a
 :class:`~repro.resilience.CampaignCheckpoint` and every completed
 replication key is periodically checkpointed; on resume the checkpoint
 reconciles against the cache so only missing work re-executes.  Cache
@@ -38,13 +41,13 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -54,12 +57,7 @@ from typing import (
 )
 
 from ..core.cache import ResultCache, result_key
-from ..core.parallel import (
-    IndexedJob,
-    WorkerPool,
-    effective_parallelism,
-    projected_speedup,
-)
+from ..core.parallel import effective_parallelism, projected_speedup
 from ..core.parameters import ScenarioConfig
 from ..core.simulation import ReplicationSet, ScenarioResult
 from ..obs.metrics import NULL_METRICS, Metrics
@@ -187,16 +185,18 @@ class ReplicationScheduler:
     """Runs replication jobs through a cache and a persistent worker pool.
 
     ``processes=1`` executes jobs inline in submission order — exactly the
-    serial :func:`~repro.core.simulation.replicate_scenario` path.  The
-    pool (created lazily on the first parallel batch) persists across
-    calls, so a figure batch or a sweep pays worker startup once.
+    serial :func:`~repro.core.simulation.replicate_scenario` path (unless
+    the policy sets a ``task_timeout``, which needs a worker process to
+    enforce).  The pool starts its workers on the first parallel batch
+    and keeps them across calls, so a figure batch or a sweep pays worker
+    startup once.
     """
 
     def __init__(
         self,
         processes: int = 1,
         cache: Optional[ResultCache] = None,
-        pool: Optional[WorkerPool] = None,
+        pool: Optional[SupervisedWorkerPool] = None,
         metrics: Optional[Metrics] = None,
         resilience: Optional[RetryPolicy] = None,
         checkpoint: Optional[CampaignCheckpoint] = None,
@@ -207,15 +207,18 @@ class ReplicationScheduler:
             raise ValueError(f"processes must be >= 1, got {processes}")
         self.processes = processes
         self.cache = cache
-        self._pool = (
-            pool if pool is not None else WorkerPool(processes, graphs=cache)
-        )
+        #: The pool, built from this scheduler's policy, fault plan,
+        #: registry and cache on the first pending batch (unless
+        #: injected) and reused by every later one.
+        self._pool = pool
         self._owns_pool = pool is None
-        #: When True, each batch is cost-modelled before dispatch and runs
-        #: inline when the pool is projected to lose to serial (small
-        #: campaigns, oversubscribed hosts).  Results are bit-identical
-        #: either way; only wall clock and the logged decision differ.
-        #: Planning never applies to externally injected pools.
+        #: When True, each batch without a resilience policy is
+        #: cost-modelled before dispatch and runs inline when the pool is
+        #: projected to lose to serial (small campaigns, oversubscribed
+        #: hosts).  Results are bit-identical either way; only wall clock
+        #: and the logged decision differ.  Planning never applies to
+        #: externally injected pools, nor under a resilience policy,
+        #: whose crash isolation inline execution cannot give.
         self.auto_degrade = auto_degrade
         #: One record per planned batch (see :meth:`_plan_dispatch`);
         #: surfaces through :meth:`telemetry` into the run manifest.
@@ -223,18 +226,16 @@ class ReplicationScheduler:
         #: Shared per-job runtime model (also consumed by repro.service
         #: for queue-drain / retry-after estimates).
         self.job_seconds = JobSecondsEstimator()
-        self._inline_pool: Optional[WorkerPool] = None
-        #: The supervised pool of ``resilience`` runs, created lazily on
-        #: the first pending batch and reused by every later one.
-        self._supervised: Optional[SupervisedWorkerPool] = None
+        #: One-process pool for the batches the planner degrades.
+        self._inline_pool: Optional[SupervisedWorkerPool] = None
         self.stats = SchedulerStats()
-        #: Retry/timeout/quarantine policy; ``None`` = plain unsupervised
-        #: dispatch (the original fail-fast path).
+        #: Retry/timeout/quarantine policy; ``None`` = fail-fast dispatch
+        #: (no retries; a failed job raises once its batch has finished).
         self.resilience = resilience
         #: Periodic progress checkpoint (see repro.resilience.checkpoint).
         self.checkpoint = checkpoint
-        #: Fault plan for the supervised pool (fault-injection harness);
-        #: task ids index into each batch's *pending* (non-cached) jobs.
+        #: Fault plan for the pool (fault-injection harness); task ids
+        #: index into each batch's *pending* (non-cached) jobs.
         self.fault_plan = fault_plan
         #: Every failure/retry/quarantine event across all batches.
         self.failures: List[FailureEvent] = []
@@ -251,7 +252,8 @@ class ReplicationScheduler:
         #: rates, and aggregated kernel stats (see :meth:`telemetry`).
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._batches: List[Dict[str, Any]] = []
-        self._worker_stats: Dict[int, Dict[str, float]] = {}
+        #: Per-worker telemetry by pid, summed over every batch.
+        self._worker_stats: Dict[int, Counter] = {}
         self._seeds: set = set()
         #: Distinct scenario configs seen, keyed by name, plus job counts.
         self._scenario_jobs: Dict[str, Tuple[ScenarioConfig, int]] = {}
@@ -259,6 +261,16 @@ class ReplicationScheduler:
         #: seed, and (on the compiled path) dedup accounting.  Lands in
         #: the run manifest's ``design`` section.
         self.design_sections: List[Dict[str, Any]] = []
+
+    def _new_pool(self, processes: int) -> SupervisedWorkerPool:
+        """A pool running this scheduler's policy, faults, and cache."""
+        return SupervisedWorkerPool(
+            processes,
+            policy=self.resilience or RetryPolicy(max_retries=0),
+            metrics=self.metrics,
+            faults=self.fault_plan,
+            graphs=self.cache,
+        )
 
     def __enter__(self) -> "ReplicationScheduler":
         return self
@@ -277,9 +289,9 @@ class ReplicationScheduler:
         """Shut down the worker pool (if this scheduler created it)."""
         if self.checkpoint is not None:
             self.checkpoint.flush()
-        if self._supervised is not None:
-            self._supervised.close()
-        if self._owns_pool:
+        if self._inline_pool is not None:
+            self._inline_pool.close()
+        if self._owns_pool and self._pool is not None:
             self._pool.close()
 
     def abort(self) -> None:
@@ -297,9 +309,9 @@ class ReplicationScheduler:
                 self.checkpoint.flush()
         finally:
             try:
-                self._pool.terminate()
-                if self._supervised is not None:
-                    self._supervised.terminate()
+                for pool in (self._pool, self._inline_pool):
+                    if pool is not None:
+                        pool.terminate()
             finally:
                 if self.cache is not None:
                     self.cache.sweep()
@@ -347,27 +359,20 @@ class ReplicationScheduler:
         for field_name, value in report.to_dict().items():
             totals[field_name] += value
 
-    def _run_supervised(
+    def _dispatch(
         self,
+        pool: SupervisedWorkerPool,
         pending: List[Tuple[int, ReplicationJob]],
         results: List[Optional[ScenarioResult]],
     ) -> None:
-        """Dispatch pending jobs through the supervised pool.
+        """Run pending jobs on ``pool``; results land by job index.
 
-        Completed tasks land in ``results`` exactly as on the plain
-        path, each cached and checkpointed as it streams in;
-        quarantined tasks leave their slot ``None`` and are recorded in
-        :attr:`quarantined` (the campaign continues).  Fault-plan task
-        ids index into ``pending``.
+        Each completion is cached and checkpointed as it streams in.
+        Without a resilience policy a failed job raises (after the rest
+        of the batch); with one, quarantined tasks leave their slot
+        ``None`` and are recorded in :attr:`quarantined` (the campaign
+        continues).  Fault-plan task ids index into ``pending``.
         """
-        if self._supervised is None:
-            self._supervised = SupervisedWorkerPool(
-                self.processes,
-                policy=self.resilience,
-                metrics=self.metrics,
-                faults=self.fault_plan,
-                graphs=self.cache,
-            )
         jobs = dict(pending)
 
         def on_result(index: int, result: ScenarioResult) -> None:
@@ -375,10 +380,18 @@ class ReplicationScheduler:
             self._cache_put(result)
             self._record_completion(jobs[index])
 
-        report = self._supervised.run(
+        report = pool.run(
             [(index, job.config, job.seed, job.replication) for index, job in pending],
             on_result,
         )
+        for pid, tally in report.workers.items():
+            self._worker_stats.setdefault(pid, Counter()).update(tally)
+        self.failures.extend(report.events)
+        self.pool_respawns += report.respawns
+        self.degraded_to_serial = self.degraded_to_serial or report.degraded_to_serial
+        if self.resilience is None:
+            report.raise_for_failures()
+            return
         for task_id in report.quarantined:
             _, job = pending[task_id]
             self.quarantined.append(
@@ -389,31 +402,29 @@ class ReplicationScheduler:
                     "failures": self.resilience.max_attempts,
                 }
             )
-        self.failures.extend(report.events)
-        self.pool_respawns += report.respawns
-        self.degraded_to_serial = self.degraded_to_serial or report.degraded_to_serial
 
     # -- dispatch planning ---------------------------------------------------
 
-    def _plan_dispatch(self, pending_count: int) -> WorkerPool:
+    def _plan_dispatch(self, pending_count: int) -> SupervisedWorkerPool:
         """Choose the pool (or inline execution) for one batch, and log why.
 
         With more than one process requested, the batch is projected with
         the :func:`~repro.core.parallel.projected_speedup` cost model
-        (pool startup + per-chunk dispatch against perfect work division).
-        When ``auto_degrade`` is on and the projection says the pool loses
-        to serial, the batch runs inline through a one-process pool — the
-        same jobs under the same indexes, so results stay bit-identical —
-        and the parallel pool is never even started.  Every planned batch
-        appends a decision record for the run manifest.
+        (pool startup against perfect work division).  When
+        ``auto_degrade`` is on and the projection says the pool loses to
+        serial, the batch runs on a one-process pool, which runs it
+        inline — the same jobs under the same indexes, so results stay
+        bit-identical — and the parallel pool is never even started.
+        Every planned batch appends a decision record for the run
+        manifest.
         """
-        if self.processes == 1 or not self._owns_pool:
-            return self._pool
-        if pending_count == 0:
-            # A fully cached batch (every probe of a frontier re-run, a
-            # resumed sweep) must never pay pool startup; log the branch
-            # so the manifest shows why no workers ran.
-            self._note_cached_batch()
+        if self._pool is None:
+            self._pool = self._new_pool(self.processes)
+        if (
+            self.processes == 1
+            or not self._owns_pool
+            or self.resilience is not None
+        ):
             return self._pool
         estimate = self.job_seconds.estimate
         source = "calibrated" if self.job_seconds.calibrated else "default"
@@ -448,17 +459,17 @@ class ReplicationScheduler:
         if not degrade:
             return self._pool
         if self._inline_pool is None:
-            self._inline_pool = WorkerPool(1, graphs=self.cache)
+            self._inline_pool = self._new_pool(1)
         return self._inline_pool
 
     def _note_cached_batch(self) -> None:
         """Log a fully-cached batch as its own dispatch decision.
 
-        Mirrors the ``_plan_dispatch`` guard: serial schedulers and
-        externally injected pools never log decisions, so their
-        manifests are unchanged.  For parallel schedulers the record
-        makes the cache short-circuit auditable — ``mode: "cached"``
-        with zero pending jobs and no speedup projection at all.
+        Serial schedulers and externally injected pools never log
+        decisions, so their manifests are unchanged.  For parallel
+        schedulers the record makes the cache short-circuit auditable —
+        ``mode: "cached"`` with zero pending jobs and no speedup
+        projection at all.
         """
         if self.processes == 1 or not self._owns_pool:
             return
@@ -480,10 +491,6 @@ class ReplicationScheduler:
         if self.metrics.enabled:
             self.metrics.inc("scheduler.dispatch.cached")
 
-    def _note_job_seconds(self, executed: int, workers: int, wall: float) -> None:
-        """Fold one batch's measured wall time into the shared estimator."""
-        self.job_seconds.note(executed, workers, wall)
-
     def run_jobs(
         self, jobs: Sequence[ReplicationJob]
     ) -> List[Optional[ScenarioResult]]:
@@ -492,9 +499,9 @@ class ReplicationScheduler:
         Cached results are returned without simulation; the remainder is
         dispatched to the pool (or run inline at ``processes=1``) and
         every fresh result is written back to the cache.  Without a
-        resilience policy every returned entry is a result (gaps raise);
-        with one, a quarantined job's slot is ``None`` and the failure is
-        recorded instead of raised.
+        resilience policy every returned entry is a result (a failed job
+        raises); with one, a quarantined job's slot is ``None`` and the
+        failure is recorded instead of raised.
         """
         quarantined_before = len(self.quarantined)
         results: List[Optional[ScenarioResult]] = [None] * len(jobs)
@@ -526,38 +533,19 @@ class ReplicationScheduler:
         collect = self.metrics.enabled
         batch_start = time.perf_counter() if collect else 0.0
         if pending:
-            if self.resilience is not None:
-                self._run_supervised(pending, results)
-            else:
-                pool = self._plan_dispatch(len(pending))
-                dispatch_start = time.perf_counter()
-                indexed: Iterator[IndexedJob] = (
-                    (index, job.config, job.seed, job.replication)
-                    for index, job in pending
-                )
-                if collect:
-                    for index, result, sidecar in pool.imap_indexed_timed(
-                        indexed, job_count=len(pending)
-                    ):
-                        results[index] = result
-                        self._absorb_sidecar(sidecar)
-                        self._cache_put(result)
-                        self._record_completion(jobs[index])
-                else:
-                    for index, result in pool.imap_indexed(
-                        indexed, job_count=len(pending)
-                    ):
-                        results[index] = result
-                        self._cache_put(result)
-                        self._record_completion(jobs[index])
-                self._note_job_seconds(
-                    len(pending),
-                    effective_parallelism(pool.processes, len(pending)),
-                    time.perf_counter() - dispatch_start,
-                )
+            pool = self._plan_dispatch(len(pending))
+            dispatch_start = time.perf_counter()
+            self._dispatch(pool, pending, results)
+            self.job_seconds.note(
+                len(pending),
+                effective_parallelism(pool.processes, len(pending)),
+                time.perf_counter() - dispatch_start,
+            )
         elif jobs:
-            # Every job was a cache hit: skip dispatch planning entirely
-            # (zero pool startups) but keep the decision trail complete.
+            # Every job was a cache hit (every probe of a frontier re-run,
+            # a resumed sweep): skip dispatch planning entirely (zero pool
+            # startups) but log the branch so the manifest shows why no
+            # workers ran.
             self._note_cached_batch()
         self.stats.add(
             scheduled=len(jobs), executed=len(pending), cache_hits=cache_hits
@@ -572,24 +560,6 @@ class ReplicationScheduler:
         return reassemble(len(jobs), enumerate(results))  # validates coverage
 
     # -- telemetry ----------------------------------------------------------
-
-    def _absorb_sidecar(self, sidecar: Mapping[str, Any]) -> None:
-        """Fold one worker's per-job telemetry into the aggregates."""
-        snapshot = sidecar.get("metrics", {})
-        self.metrics.merge(snapshot)
-        pid = int(sidecar.get("pid", 0))
-        entry = self._worker_stats.get(pid)
-        if entry is None:
-            entry = self._worker_stats[pid] = {
-                "jobs": 0,
-                "events": 0,
-                "busy_seconds": 0.0,
-            }
-        entry["jobs"] += 1
-        entry["busy_seconds"] += float(sidecar.get("wall_seconds", 0.0))
-        entry["events"] += int(
-            snapshot.get("counters", {}).get("des.events_fired", 0)
-        )
 
     def _note_batch(
         self, jobs: Sequence[ReplicationJob], executed: int, wall: float
@@ -675,7 +645,7 @@ class ReplicationScheduler:
         """Manifest-ready resilience section (``None`` when inactive).
 
         Present whenever a policy was configured *or* any resilience
-        event occurred (e.g. a cache write failure on the plain path) —
+        event occurred (e.g. a cache write failure without a policy) —
         it carries every retry/quarantine event of the run.
         """
         if (

@@ -1,9 +1,10 @@
 """Supervised worker pool: retries, timeouts, crash detection, quarantine.
 
-Unlike :class:`~repro.core.parallel.WorkerPool` (a thin wrapper over
-``multiprocessing.Pool`` — fast, but a dead or hung worker takes the
-whole campaign down with it), this pool owns its worker processes
-directly so the parent can *supervise* them:
+The one process pool every campaign runs on: the scheduler's plain
+batches (under a fail-fast ``RetryPolicy(max_retries=0)``), its
+``--retries``/``--task-timeout`` batches, and the campaign daemon.  The
+pool owns its worker processes directly so the parent can *supervise*
+them:
 
 * each worker runs one task at a time off its own queue, so a failure is
   always attributable to exactly one ``(task, attempt)``;
@@ -30,11 +31,14 @@ no orphans.  ``run(jobs, on_result)`` streams each completion to the
 caller — after the freed worker has already been handed its next task,
 so the caller's per-result work overlaps compute.
 
-Results are byte-identical to the plain pool and the serial path — the
-supervisor only decides where/when a task runs.  Task payloads are the
-same :data:`~repro.core.parallel.IndexedJob` tuples, executed by the
-same module-level worker function, so every start method (including
-``spawn``) stays safe.
+Results are byte-identical to the serial path — the supervisor only
+decides where/when a task runs.  Task payloads are
+:data:`~repro.core.parallel.IndexedJob` tuples, executed by the
+module-level :func:`~repro.core.parallel.run_indexed_job`, so every
+start method (including ``spawn``) stays safe.  When the pool's
+``metrics`` registry is enabled, every completion also carries the
+attempt's worker pid, wall seconds and kernel-telemetry snapshot; the
+parent folds them into the registry and :attr:`SupervisionReport.workers`.
 
 Fault injection: each task may carry a *fault directive* (any object
 with an ``apply(attempt, soft=False)`` method, see :mod:`repro.faults`)
@@ -70,6 +74,10 @@ _SHUTDOWN_GRACE = 1.0
 
 #: ``on_result(index, result)``: one completed job, by its job index.
 ResultCallback = Callable[[int, Any], None]
+
+#: What one attempt ships back: ``(index, result, sidecar)``, where the
+#: sidecar is ``(pid, wall_seconds, metrics snapshot)`` or ``None``.
+Completion = Tuple[int, Any, Optional[Tuple[int, float, Dict[str, Any]]]]
 
 
 def task_key(job: IndexedJob) -> str:
@@ -113,6 +121,9 @@ class SupervisionReport:
     degraded_to_serial: bool = False
     #: Tasks completed in the calling process (serial or degraded).
     completed_inline: int = 0
+    #: Per-process telemetry by pid (``jobs``, ``events``,
+    #: ``busy_seconds``); filled only when the pool's registry is enabled.
+    workers: Dict[int, Dict[str, float]] = field(default_factory=dict)
 
     def counts(self) -> Dict[str, int]:
         """Failure counts by kind."""
@@ -120,6 +131,19 @@ class SupervisionReport:
         for event in self.events:
             by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
         return by_kind
+
+    def raise_for_failures(self) -> None:
+        """Fail-fast callers: raise naming every quarantined task."""
+        failed = [event for event in self.events if event.action == "quarantine"]
+        if failed:
+            raise RuntimeError(
+                f"{len(failed)} replication(s) failed: "
+                + "; ".join(
+                    f"{event.key} ({event.kind}: {event.detail})"
+                    for event in failed[:3]
+                )
+                + ("; ..." if len(failed) > 3 else "")
+            )
 
 
 class _TaskState:
@@ -155,8 +179,39 @@ class _WorkerSlot:
         self.respawns = 0
 
 
+def _execute(
+    job: IndexedJob,
+    fault: Any,
+    attempt: int,
+    graphs: Optional[ResultCache],
+    telemetry: bool,
+    soft: bool = False,
+) -> Completion:
+    """One attempt of one task, in a worker or inline.
+
+    Applies the task's fault directive, then runs
+    :func:`~repro.core.parallel.run_indexed_job`.  With ``telemetry`` the
+    run gets its own enabled :class:`Metrics` and the completion carries
+    ``(pid, wall_seconds, snapshot)``; the result is the same either way.
+    """
+    if fault is not None:
+        fault.apply(attempt, soft=soft)
+    if not telemetry:
+        index, result = run_indexed_job(job, graphs)
+        return index, result, None
+    metrics = Metrics(enabled=True)
+    start = time.perf_counter()
+    index, result = run_indexed_job(job, graphs, metrics)
+    sidecar = (os.getpid(), time.perf_counter() - start, metrics.snapshot())
+    return index, result, sidecar
+
+
 def _worker_main(
-    task_queue, result_queue, graphs: Optional[ResultCache], parent_pid: int
+    task_queue,
+    result_queue,
+    graphs: Optional[ResultCache],
+    telemetry: bool,
+    parent_pid: int,
 ) -> None:
     """Worker loop: run one task per message until the ``None`` sentinel.
 
@@ -178,9 +233,7 @@ def _worker_main(
             return
         run_id, task_id, attempt, job, fault = message
         try:
-            if fault is not None:
-                fault.apply(attempt)
-            index, result = run_indexed_job(job, graphs)
+            completion = _execute(job, fault, attempt, graphs, telemetry)
         except KeyboardInterrupt:  # pragma: no cover - parent-driven teardown
             return
         except BaseException as exc:
@@ -188,7 +241,7 @@ def _worker_main(
                 (run_id, task_id, attempt, "error", f"{type(exc).__name__}: {exc}")
             )
         else:
-            result_queue.put((run_id, task_id, attempt, "ok", (index, result)))
+            result_queue.put((run_id, task_id, attempt, "ok", completion))
 
 
 class SupervisedWorkerPool:
@@ -197,7 +250,8 @@ class SupervisedWorkerPool:
     ``faults`` maps task ids (positions in each run's job list) to fault
     directives — a :class:`~repro.faults.FaultPlan` or a plain dict;
     ``metrics`` receives ``resilience.*`` counters for every failure,
-    retry, quarantine, and respawn; ``graphs`` reaches every attempt
+    retry, quarantine, and respawn, and — when enabled — every attempt's
+    kernel telemetry; ``graphs`` reaches every attempt
     (see :func:`~repro.core.parallel.run_indexed_job`).  With
     ``processes == 1`` and no ``policy.task_timeout`` every task runs
     inline in the calling process; a timeout needs a worker process to
@@ -244,7 +298,13 @@ class SupervisedWorkerPool:
         slot.task_queue = self._ctx.Queue()
         slot.process = self._ctx.Process(
             target=_worker_main,
-            args=(slot.task_queue, self._result_queue, self.graphs, os.getpid()),
+            args=(
+                slot.task_queue,
+                self._result_queue,
+                self.graphs,
+                self.metrics.enabled,
+                os.getpid(),
+            ),
             daemon=True,
         )
         slot.process.start()
@@ -303,6 +363,11 @@ class SupervisedWorkerPool:
                 self._result_queue.cancel_join_thread()
                 self._result_queue.close()
                 self._result_queue = None
+
+    @property
+    def started(self) -> bool:
+        """True while worker processes exist (startup cost already paid)."""
+        return bool(self._slots)
 
     def probe(self) -> List[Dict[str, Any]]:
         """Per-worker health snapshot; safe to call from any thread.
@@ -365,6 +430,27 @@ class SupervisedWorkerPool:
         self.metrics.inc("resilience.retries")
         return self.policy.backoff_delay(state.key, state.failures)
 
+    def _deliver(
+        self,
+        report: SupervisionReport,
+        completion: Completion,
+        on_result: ResultCallback,
+    ) -> None:
+        """Fold a completion's telemetry in, then hand its result over."""
+        index, result, sidecar = completion
+        if sidecar is not None:
+            pid, wall_seconds, snapshot = sidecar
+            self.metrics.merge(snapshot)
+            tally = report.workers.setdefault(
+                pid, {"jobs": 0, "events": 0, "busy_seconds": 0.0}
+            )
+            tally["jobs"] += 1
+            tally["busy_seconds"] += wall_seconds
+            tally["events"] += int(
+                snapshot.get("counters", {}).get("des.events_fired", 0)
+            )
+        on_result(index, result)
+
     # -- serial execution (one untimed process, and degraded fallback) ------
 
     def _run_serial(
@@ -386,11 +472,15 @@ class SupervisedWorkerPool:
             while not state.finished:
                 if should_abort is not None and should_abort():
                     return
-                attempt = state.failures
                 try:
-                    if state.fault is not None:
-                        state.fault.apply(attempt, soft=True)
-                    payload = run_indexed_job(state.job, self.graphs)
+                    completion = _execute(
+                        state.job,
+                        state.fault,
+                        state.failures,
+                        self.graphs,
+                        self.metrics.enabled,
+                        soft=True,
+                    )
                 except Exception as exc:
                     delay = self._record_failure(
                         report, state, "error", f"{type(exc).__name__}: {exc}"
@@ -400,7 +490,7 @@ class SupervisedWorkerPool:
                 else:
                     state.done = True
                     report.completed_inline += 1
-                    on_result(*payload)
+                    self._deliver(report, completion, on_result)
 
     # -- supervised pool execution ------------------------------------------
 
@@ -476,9 +566,9 @@ class SupervisedWorkerPool:
                     # Hand freed workers their next task before the
                     # caller's per-result work (fsyncs) runs.
                     self._assign(ready, states)
-                for payload in completed:
+                for completion in completed:
                     remaining -= 1
-                    on_result(*payload)
+                    self._deliver(report, completion, on_result)
             if report.degraded_to_serial:
                 self.terminate()
                 self._run_serial(states, report, on_result, should_abort)
@@ -561,14 +651,13 @@ class SupervisedWorkerPool:
             return tid
         return None
 
-    def _drain(self, states, fail) -> List[Tuple[int, Any]]:
+    def _drain(self, states, fail) -> List[Completion]:
         """Consume worker messages; block at most one poll interval.
 
-        Returns the newly completed ``(index, result)`` payloads; failed
-        attempts go to ``fail``.  Messages from an earlier run are
-        dropped.
+        Returns the newly completed attempts; failed attempts go to
+        ``fail``.  Messages from an earlier run are dropped.
         """
-        completed: List[Tuple[int, Any]] = []
+        completed: List[Completion] = []
         block = True
         while True:
             try:

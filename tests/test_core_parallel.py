@@ -8,14 +8,16 @@ import time
 
 import pytest
 
-from repro.core import parallel
 from repro.core.parallel import (
     START_METHOD_ENV,
-    WorkerPool,
     default_process_count,
     replicate_scenario_parallel,
 )
 from repro.core.simulation import replicate_scenario
+from repro.obs.metrics import Metrics
+from repro.resilience import RetryPolicy, SupervisedWorkerPool, supervisor
+
+FAIL_FAST = RetryPolicy(max_retries=0)
 
 
 def test_serial_fallback_matches_reference(small_scenario):
@@ -51,7 +53,18 @@ def test_validation(small_scenario):
         replicate_scenario_parallel(small_scenario, replications=2, processes=0)
 
 
-def _slow_marker_job(job):
+def test_failed_replication_raises_naming_it(small_scenario, monkeypatch):
+    def failing(job, graphs=None, metrics=None):
+        raise ValueError("bad replication")
+
+    monkeypatch.setattr(supervisor, "run_indexed_job", failing)
+    with pytest.raises(RuntimeError, match=r"small-test:s9:r0 \(error: ValueError"):
+        replicate_scenario_parallel(
+            small_scenario, replications=1, seed=9, processes=1
+        )
+
+
+def _slow_marker_job(job, graphs=None, metrics=None):
     """Substitute worker: records completion on disk (directory via env)."""
     index = job[0]
     time.sleep(0.05)
@@ -62,63 +75,73 @@ def _slow_marker_job(job):
 
 
 def test_close_drains_dispatched_jobs(small_scenario, tmp_path, monkeypatch):
-    """Regression: ``close()`` must let already-dispatched jobs finish.
+    """Regression: a clean shutdown must not drop dispatched jobs.
 
-    The pool used to call ``Pool.terminate()`` on clean shutdown, which
-    kills workers mid-chunk — jobs that had been handed out but not yet
-    yielded were silently dropped.  This dispatches slow jobs that leave
-    marker files, consumes only the first completion, closes the pool,
-    and requires every job to have completed.
+    The first pool used to call ``Pool.terminate()`` on clean shutdown,
+    which killed workers mid-chunk — jobs that had been handed out but
+    not yet yielded were silently dropped.  This runs slow jobs that
+    leave marker files through a context-managed pool and requires
+    every job to have completed and been delivered, and every worker
+    to be reaped, once the clean exit has closed the pool.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork start method required to inherit the patched worker")
     monkeypatch.setenv(START_METHOD_ENV, "fork")
     monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(tmp_path))
-    monkeypatch.setattr(parallel, "_run_indexed", _slow_marker_job)
+    monkeypatch.setattr(supervisor, "run_indexed_job", _slow_marker_job)
 
     job_count = 6
-    jobs = ((index, small_scenario, 0, index) for index in range(job_count))
-    pool = WorkerPool(processes=2)
-    try:
-        completions = pool.imap_indexed(jobs, job_count=job_count)
-        next(completions)  # dispatch has started; rest remain in flight
-    finally:
-        pool.close()
+    jobs = [(index, small_scenario, 0, index) for index in range(job_count)]
+    delivered = {}
+    with SupervisedWorkerPool(2, FAIL_FAST) as pool:
+        pool.run(jobs, delivered.__setitem__)
     done = sorted(int(p.name.split("-")[1]) for p in tmp_path.glob("done-*"))
     assert done == list(range(job_count))
+    assert sorted(delivered) == list(range(job_count))
+    assert pool.probe() == [] and not pool.started
 
 
 def test_exception_exit_terminates_without_draining(small_scenario):
     """The context manager still tears down hard on exception paths."""
+    jobs = [(index, small_scenario, 0, index) for index in range(2)]
     with pytest.raises(RuntimeError, match="boom"):
-        with WorkerPool(processes=2) as pool:
+        with SupervisedWorkerPool(2, FAIL_FAST) as pool:
+            pool.run(jobs, lambda index, result: None)
+            workers = [slot.process for slot in pool._slots]
             raise RuntimeError("boom")
-    assert pool._pool is None
+    assert len(workers) == 2
+    assert pool.probe() == [] and not pool.started
+    assert pool._result_queue is None
+    for worker in workers:
+        with pytest.raises(ValueError):  # reaped and closed
+            worker.is_alive()
 
 
 class TestTimedDispatch:
+    """An enabled registry makes every completion carry its telemetry."""
+
     def test_serial_sidecars(self, small_scenario):
         jobs = [(i, small_scenario, 3, i) for i in range(2)]
-        with WorkerPool(processes=1) as pool:
-            completions = list(pool.imap_indexed_timed(iter(jobs), job_count=2))
-        assert sorted(c[0] for c in completions) == [0, 1]
-        for _, result, sidecar in completions:
-            assert sidecar["pid"] == os.getpid()
-            assert sidecar["wall_seconds"] > 0
-            counters = sidecar["metrics"]["counters"]
-            assert counters["des.events_fired"] > 0
+        metrics = Metrics(enabled=True)
+        results = {}
+        with SupervisedWorkerPool(1, FAIL_FAST, metrics=metrics) as pool:
+            report = pool.run(jobs, results.__setitem__)
+        assert sorted(results) == [0, 1]
+        assert list(report.workers) == [os.getpid()]
+        worker = report.workers[os.getpid()]
+        assert worker["jobs"] == 2
+        assert worker["busy_seconds"] > 0
+        assert worker["events"] == metrics.counter_value("des.events_fired") > 0
 
     def test_results_identical_to_untimed(self, small_scenario):
         jobs = [(i, small_scenario, 7, i) for i in range(3)]
-        with WorkerPool(processes=1) as pool:
-            untimed = dict(pool.imap_indexed(iter(jobs), job_count=3))
-        with WorkerPool(processes=2) as pool:
-            timed = {
-                index: result
-                for index, result, _ in pool.imap_indexed_timed(
-                    iter(jobs), job_count=3
-                )
-            }
+        untimed, timed = {}, {}
+        with SupervisedWorkerPool(1, FAIL_FAST) as pool:
+            assert pool.run(jobs, untimed.__setitem__).workers == {}
+        with SupervisedWorkerPool(
+            2, FAIL_FAST, metrics=Metrics(enabled=True)
+        ) as pool:
+            pool.run(jobs, timed.__setitem__)
         assert set(timed) == set(untimed)
         for index in untimed:
             assert timed[index].counters == untimed[index].counters
@@ -128,12 +151,9 @@ class TestTimedDispatch:
 
     def test_parallel_sidecars_report_worker_pids(self, small_scenario):
         jobs = [(i, small_scenario, 1, i) for i in range(3)]
-        with WorkerPool(processes=2) as pool:
-            sidecars = [
-                sidecar
-                for _, _, sidecar in pool.imap_indexed_timed(
-                    iter(jobs), job_count=3
-                )
-            ]
-        assert len(sidecars) == 3
-        assert all(sidecar["pid"] != os.getpid() for sidecar in sidecars)
+        with SupervisedWorkerPool(
+            2, FAIL_FAST, metrics=Metrics(enabled=True)
+        ) as pool:
+            report = pool.run(jobs, lambda index, result: None)
+        assert sum(worker["jobs"] for worker in report.workers.values()) == 3
+        assert report.workers and os.getpid() not in report.workers

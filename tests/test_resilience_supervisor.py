@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -147,6 +148,43 @@ class TestFaultInjection:
         kinds = [(e.kind, e.action) for e in scheduler.failures]
         assert ("crash", "retry") in kinds
         assert scheduler.pool_respawns >= 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FaultSpec(crash_attempts=(0,)), FaultSpec(raise_attempts=(0,))],
+        ids=["crash", "raise"],
+    )
+    def test_failed_job_without_policy_raises_promptly(self, mini_scenario, spec):
+        """Without a policy a failed job raises, naming it; never a hang.
+
+        The planner is off so the batch really runs in two worker
+        processes: a worker that dies mid-job used to leave the plain
+        pool waiting forever for its result.
+        """
+        outcome = {}
+
+        def campaign() -> None:
+            try:
+                with ReplicationScheduler(
+                    processes=2,
+                    auto_degrade=False,
+                    fault_plan=FaultPlan({1: spec}),
+                ) as scheduler:
+                    scheduler.replicate(mini_scenario, replications=4, seed=9)
+            except Exception as exc:  # the assertion below inspects it
+                outcome["error"] = exc
+
+        start = time.monotonic()
+        runner = threading.Thread(target=campaign, daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        assert not runner.is_alive(), "campaign hung on a failed job"
+        assert time.monotonic() - start < 10.0
+        error = outcome.get("error")
+        assert isinstance(error, RuntimeError)
+        assert "sup-mini:s9:r1" in str(error)
+        kind = "crash" if spec.crash_attempts else "error"
+        assert f"({kind}: " in str(error)
 
     def test_hang_timed_out_and_retried(self, mini_scenario):
         expected = replicate_scenario(mini_scenario, replications=4, seed=9)

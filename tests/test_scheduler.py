@@ -33,6 +33,8 @@ from repro.experiments import (
     run_experiment,
     run_experiment_batch,
 )
+from repro.obs.metrics import Metrics
+from repro.resilience import RetryPolicy, SupervisedWorkerPool
 
 
 @pytest.fixture
@@ -318,14 +320,23 @@ class TestTelemetry:
                 instrumented.series_results[label], expected_set
             )
 
-    def test_write_manifest_schema_valid(self, mini_spec, tmp_path):
+    @pytest.mark.parametrize(
+        "resilience",
+        [None, RetryPolicy(max_retries=1)],
+        ids=["plain", "retries"],
+    )
+    def test_write_manifest_schema_valid(self, mini_spec, tmp_path, resilience):
+        """Worker telemetry reaches the manifest with or without retries."""
         from repro.obs.manifest import read_manifests, validate_manifest
         from repro.obs.metrics import Metrics
 
         cache = ResultCache(tmp_path / "c")
         path = tmp_path / "run.jsonl"
         with ReplicationScheduler(
-            processes=1, cache=cache, metrics=Metrics(enabled=True)
+            processes=1,
+            cache=cache,
+            metrics=Metrics(enabled=True),
+            resilience=resilience,
         ) as scheduler:
             scheduler.run_experiment(mini_spec, replications=2, seed=2)
             scheduler.write_manifest(path, label="test-run")
@@ -339,6 +350,9 @@ class TestTelemetry:
         assert scenario_names == {"mini", "mini+edu"}
         assert all(len(s["hash"]) == 64 for s in record["scenarios"])
         assert record["workers"][0]["jobs"] == 4
+        assert record["workers"][0]["events"] > 0
+        assert record["events_executed"] > 0
+        assert record["kernel"]["events_fired"] == record["events_executed"]
         assert record["cache"]["hit_ratio"] == 0.0
 
 
@@ -349,10 +363,7 @@ class _InterruptingPool:
         self.terminated = False
         self.closed = False
 
-    def imap_indexed(self, jobs, job_count=None):
-        raise KeyboardInterrupt
-
-    def imap_indexed_timed(self, jobs, job_count=None):
+    def run(self, jobs, on_result, should_abort=None):
         raise KeyboardInterrupt
 
     def close(self):
@@ -405,8 +416,7 @@ class TestInterruptCleanup:
 class TestAutoDegrade:
     """Dispatch planning: small campaigns must not pay for a pool.
 
-    The cost model (pool startup + per-chunk dispatch vs. perfect work
-    division) projects a tiny 4-job campaign as losing to serial on any
+    The cost model (pool startup vs. perfect work division) projects a tiny 4-job campaign as losing to serial on any
     machine — 4 x 0.05 s of work never amortises a 0.25 s pool spin-up —
     so ``--processes 4`` on a tiny grid degrades to inline execution,
     logs the decision, and stays bit-identical to the serial path.
@@ -478,18 +488,14 @@ class TestFullyCachedBatch:
     def test_cached_rerun_never_starts_pool(
         self, mini_scenario, tmp_path, monkeypatch
     ):
-        from repro.core import parallel as parallel_module
-
         cache = ResultCache(tmp_path / "cache")
         with ReplicationScheduler(processes=1, cache=cache) as scheduler:
             scheduler.replicate(mini_scenario, replications=3, seed=5)
 
-        def _no_pool(self):
+        def _no_pool(self, slot):
             raise AssertionError("pool started on a fully cached batch")
 
-        monkeypatch.setattr(
-            parallel_module.WorkerPool, "_ensure_pool", _no_pool
-        )
+        monkeypatch.setattr(SupervisedWorkerPool, "_start_worker", _no_pool)
         with ReplicationScheduler(
             processes=4, cache=cache, auto_degrade=False
         ) as scheduler:
@@ -517,12 +523,11 @@ class TestFullyCachedBatch:
         assert decisions[-1]["pending"] == 2
 
     def test_empty_pool_batch_returns_without_start(self):
-        from repro.core.parallel import WorkerPool
-
-        pool = WorkerPool(4)
+        pool = SupervisedWorkerPool(4, metrics=Metrics(enabled=True))
         try:
-            assert list(pool.imap_indexed([], job_count=0)) == []
-            assert list(pool.imap_indexed_timed([], job_count=0)) == []
+            report = pool.run([], lambda index, result: None)
+            assert report.workers == {} and not report.events
             assert not pool.started
+            assert pool.probe() == []
         finally:
             pool.close()
