@@ -419,7 +419,11 @@ class ReplicationScheduler:
         manifest.
         """
         if self._pool is None:
-            self._pool = self._new_pool(self.processes)
+            # Extra workers past the cores only time-slice; two still
+            # keep a crashing replication isolated on a one-CPU host.
+            self._pool = self._new_pool(
+                min(self.processes, max(2, os.cpu_count() or 1))
+            )
         if (
             self.processes == 1
             or not self._owns_pool

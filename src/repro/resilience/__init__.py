@@ -3,7 +3,7 @@
 A paper figure is hundreds of long stochastic replications; at
 production scale a crashed worker, a hung replication, or a corrupted
 cache entry must cost one retry, not the whole campaign.  This package
-supplies the three pieces the execution stack threads together:
+supplies the four pieces the execution stack threads together:
 
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy`: per-task
   timeouts and bounded retries with exponential backoff and
@@ -16,7 +16,11 @@ supplies the three pieces the execution stack threads together:
 * :mod:`repro.resilience.checkpoint` — :class:`CampaignCheckpoint`:
   periodic atomic snapshots of completed replication keys, reconciled
   against the result cache on ``--resume`` so an interrupted campaign
-  restarts only missing work.
+  restarts only missing work;
+* :mod:`repro.resilience.log` — the crash-safe append log (canonical
+  JSONL records, fsync'd appends, atomic rewrites, torn-tail detection)
+  that checkpoints and the campaign daemon's journal and result streams
+  are written through.
 
 Results stay byte-identical to fault-free runs: supervision only decides
 *where and when* a replication executes, never *what* it computes — each
@@ -31,10 +35,10 @@ from .checkpoint import (
     CheckpointLoad,
     ResumeReport,
     default_checkpoint_path,
-    fsync_directory,
     load_checkpoint,
     load_checkpoint_report,
 )
+from .log import fsync_directory
 from .policy import RetryPolicy
 from .supervisor import (
     FailureEvent,

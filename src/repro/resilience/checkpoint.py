@@ -15,49 +15,29 @@ The checkpoint never stores results — the cache is the single source of
 truth for data, the checkpoint only for progress accounting (and for
 reporting ``resumed / lost / fresh`` splits in the run manifest).
 
-Durability (format v2): the file is JSONL — a header line followed by
-``{"completed": [...]}`` batch lines.  The first flush is an atomic
-rewrite (tmp file + fsync + ``os.replace`` + **directory fsync**, so the
-rename itself survives a power cut); subsequent flushes append one
-fsync'd batch line, which is what lets the campaign service checkpoint
-thousands of completions without rewriting the whole snapshot each time.
-A crash mid-append leaves at most one torn trailing line, which
-:func:`load_checkpoint` skips (and reports) instead of discarding the
-file.  Legacy v1 single-document snapshots are still readable.
+Durability (format v2): the file is a :mod:`repro.resilience.log` —
+a header record followed by ``{"completed": [...]}`` batch records.  The
+first flush is an atomic :func:`~repro.resilience.log.replace_log`;
+subsequent flushes append one fsync'd batch, which is what lets the
+campaign service checkpoint thousands of completions without rewriting
+the whole snapshot each time.  A crash mid-append leaves at most one
+torn trailing batch, which :func:`load_checkpoint_report` reports
+instead of discarding the file; the resumed campaign's first flush
+rewrites the file whole, healing it.  The v1 single-document format
+reads as unusable, which only means a resume re-checks the cache.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
+from .log import append_log, read_log, replace_log
+
 #: Bump when the checkpoint document layout changes.
 #: v2: JSONL (header line + appended completion batches), fsync'd writes.
 CHECKPOINT_SCHEMA_VERSION = 2
-
-
-def fsync_directory(path: Union[str, Path]) -> None:
-    """fsync a directory so a rename/create inside it is durable.
-
-    ``os.replace`` makes a write atomic but not durable — the directory
-    entry itself lives in the parent, which must be fsync'd separately
-    for the rename to survive a power cut.  Best-effort: platforms that
-    cannot open directories (or refuse to fsync them) are skipped.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic platforms
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - e.g. some network filesystems
-        pass
-    finally:
-        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -95,13 +75,13 @@ class CheckpointLoad:
 
     ``keys`` is ``None`` when the file is missing or unusable (resuming
     then just means re-checking the cache for everything).  ``torn_line``
-    reports that a trailing partial batch line — the footprint of a crash
-    mid-append — was skipped; everything before it was recovered.
+    reports that the file ended in a batch with no newline — the
+    footprint of a crash mid-append; it is kept only if it is whole, and
+    everything before it was recovered.
     """
 
     keys: Optional[List[str]]
     torn_line: bool = False
-    legacy: bool = False
 
     @property
     def usable(self) -> bool:
@@ -141,7 +121,7 @@ class CampaignCheckpoint:
         #: appended batch.
         self._pending: List[str] = []
         #: The next flush must atomically rewrite the whole file instead
-        #: of appending (fresh campaign, legacy v1 file, or a loaded file
+        #: of appending (fresh campaign, unusable file, or a loaded file
         #: whose tail is torn and would corrupt appended lines).
         self._rewrite_needed = True
         if resume:
@@ -150,7 +130,7 @@ class CampaignCheckpoint:
             if loaded.usable:
                 self.previously_completed = frozenset(loaded.keys)
                 self.completed.update(loaded.keys)
-                self._rewrite_needed = loaded.legacy or loaded.torn_line
+                self._rewrite_needed = loaded.torn_line
 
     def record(self, key: str) -> None:
         """Mark one replication key completed; flush every ``interval``."""
@@ -162,55 +142,22 @@ class CampaignCheckpoint:
         if self._dirty >= self.interval:
             self.flush()
 
-    def _rewrite(self) -> None:
-        """Atomically replace the file with a header + one full batch."""
-        header = {
-            "checkpoint_schema": CHECKPOINT_SCHEMA_VERSION,
-            "label": self.label,
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                tmp.write(json.dumps(header, sort_keys=True) + "\n")
-                if self.completed:
-                    tmp.write(
-                        json.dumps(
-                            {"completed": sorted(self.completed)},
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        fsync_directory(self.path.parent)
-        self._rewrite_needed = False
-
-    def _append_batch(self) -> None:
-        """Append one fsync'd batch line with the keys pending flush."""
-        line = json.dumps({"completed": list(self._pending)}, sort_keys=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
     def flush(self) -> Optional[Path]:
         """Durably persist progress (no-op when unchanged)."""
         if self._dirty == 0 and self.flushes > 0:
             return None
         if self._rewrite_needed or not self.path.exists():
-            self._rewrite()
+            header = {
+                "checkpoint_schema": CHECKPOINT_SCHEMA_VERSION,
+                "label": self.label,
+            }
+            records = [header]
+            if self.completed:
+                records.append({"completed": sorted(self.completed)})
+            replace_log(self.path, records)
+            self._rewrite_needed = False
         elif self._pending:
-            self._append_batch()
+            append_log(self.path, [{"completed": list(self._pending)}])
         self._dirty = 0
         self._pending = []
         self.flushes += 1
@@ -252,51 +199,29 @@ def _valid_keys(completed: Any) -> Optional[List[str]]:
 
 
 def load_checkpoint_report(path: Union[str, Path]) -> CheckpointLoad:
-    """Read one checkpoint file, tolerating a torn trailing line.
+    """Read one checkpoint file, tolerating a torn trailing batch.
 
-    A missing file, torn/malformed header, wrong schema version, or a
-    malformed batch *before* the final line all make the file unusable
-    (``keys=None``) — resuming from a damaged checkpoint just means
-    re-checking the cache for everything, never crashing.  A torn *final*
-    line — the only damage a crashed append can cause — is skipped and
-    reported while every earlier batch is recovered.
+    A missing or unreadable file, a header of another schema version
+    (the v1 single-document format included), or a bad line *before*
+    the tail all make the file unusable (``keys=None``) — resuming from
+    a damaged checkpoint just means re-checking the cache for
+    everything, never crashing.  A torn tail — the only damage a crashed
+    append can cause — is reported; the batches before it are recovered.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        records, bad_lines, torn = read_log(path)
     except OSError:
         return CheckpointLoad(keys=None)
-    lines = [line for line in text.split("\n") if line.strip()]
-    if not lines:
-        return CheckpointLoad(keys=None)
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        return CheckpointLoad(keys=None)
-    if not isinstance(header, dict):
-        return CheckpointLoad(keys=None)
-    schema = header.get("checkpoint_schema")
-    if schema == 1:
-        # Legacy v1: the whole file is one JSON document.
-        return CheckpointLoad(keys=_valid_keys(header.get("completed")), legacy=True)
-    if schema != CHECKPOINT_SCHEMA_VERSION:
+    if (
+        bad_lines
+        or not records
+        or records[0].get("checkpoint_schema") != CHECKPOINT_SCHEMA_VERSION
+    ):
         return CheckpointLoad(keys=None)
     keys: List[str] = []
     seen: Set[str] = set()
-    torn = False
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            batch = json.loads(line)
-        except ValueError:
-            if number == len(lines):
-                torn = True  # crash mid-append: skip and report
-                break
-            return CheckpointLoad(keys=None)
-        batch_keys = (
-            _valid_keys(batch.get("completed"))
-            if isinstance(batch, dict)
-            else None
-        )
+    for batch in records[1:]:
+        batch_keys = _valid_keys(batch.get("completed"))
         if batch_keys is None:
             return CheckpointLoad(keys=None)
         for key in batch_keys:
@@ -327,7 +252,6 @@ __all__ = [
     "CheckpointLoad",
     "ResumeReport",
     "default_checkpoint_path",
-    "fsync_directory",
     "load_checkpoint",
     "load_checkpoint_report",
 ]

@@ -6,8 +6,8 @@ workers and one result cache, and so a crash — of a worker **or of the
 daemon itself** — costs a cache-hot replay instead of lost work:
 
 * :mod:`repro.service.journal` — the crash-safe persistent priority
-  queue (append-only JSONL journal, fsync'd acks, atomic segment
-  rotation, torn-line-tolerant replay);
+  queue (one fsync'd append log, atomic compaction, torn-line-tolerant
+  replay);
 * :mod:`repro.service.daemon` — the service core: admission control
   with ``retry_after`` load shedding, campaign execution on one
   persistent :class:`~repro.resilience.SupervisedWorkerPool` (per-task

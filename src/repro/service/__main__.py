@@ -70,7 +70,6 @@ def serve(args: argparse.Namespace) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
         fault_plan=crash_task_plan(getattr(args, "crash_task", ())),
         fault_kill_after_results=getattr(args, "fault_kill_after", None),
-        fsync=not getattr(args, "no_fsync", False),
     )
     socket_path = args.socket or str(daemon.spool / "daemon.sock")
     print(f"serving on {socket_path} (spool {daemon.spool})")
@@ -85,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the repro campaign daemon.",
     )
     add_daemon_arguments(parser)
-    parser.add_argument(
-        "--no-fsync", action="store_true",
-        help="skip fsyncs (tests only; forfeits crash safety)",
-    )
     parser.add_argument(
         "--crash-task", action="append", type=_task_id, default=[],
         metavar="N",

@@ -10,21 +10,28 @@ back incrementally.  Every durable artifact lives
 under one *spool* directory::
 
     spool/
-      journal/          the persistent queue (append-only JSONL segments)
+      journal/
+        journal.jsonl   the persistent queue (one append log)
       cache/            the shared ResultCache (the daemon writes results)
-      checkpoints/      one CampaignCheckpoint per campaign
-      results/          one result stream per campaign (canonical JSONL)
+      checkpoints/      one CampaignCheckpoint per campaign (<id>.jsonl)
+      results/          one result stream per campaign (<id>.jsonl)
       requests.jsonl    the request log (every op, its outcome)
       manifest.jsonl    one ``service`` manifest record per campaign
 
+The journal, checkpoints and result streams are all written through
+:mod:`repro.resilience.log`; startup sweeps the ``.tmp-*`` orphans a
+crashed rewrite can leave in ``journal/``, ``checkpoints/`` and
+``results/``.
+
 **Crash safety.**  A submission is fsync'd into the journal before the
 client sees ``ok``; execution appends a ``claim`` record; completion
-appends an ``ack`` only after the result stream and checkpoint are
-durably on disk.  ``kill -9`` at any point therefore loses nothing: on
-restart the journal replays, in-flight campaigns are re-queued with
-``recovered=True``, their checkpoints reconcile against the result cache
-(cache-hot replay), and the regenerated result stream is **byte-identical**
-to a fault-free run — every replication derives everything from
+appends an ``ack`` only after the result stream (written once, whole,
+by an atomic rewrite) and checkpoint are durably on disk.  ``kill -9``
+at any point therefore loses nothing: on restart the journal replays,
+in-flight campaigns are re-queued with ``recovered=True``, their
+checkpoints reconcile against the result cache (cache-hot replay), and
+the regenerated result stream is **byte-identical** to a fault-free
+run — every replication derives everything from
 ``(config, seed, replication)`` and streams in job-index order as
 canonical JSON.  SIGKILL'd daemons cannot reap their workers; workers
 notice the reparenting (``os.getppid()``) and exit on their own.
@@ -49,7 +56,6 @@ process after recording N results (``fault_kill_after_results``).
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -70,7 +76,8 @@ from ..design.io import design_from_dict
 from ..design.model import DesignError
 from ..faults.plan import FaultPlan
 from ..obs.manifest import append_manifest, build_manifest
-from ..resilience.checkpoint import CampaignCheckpoint, fsync_directory
+from ..resilience.checkpoint import CampaignCheckpoint
+from ..resilience.log import encode_record, read_log, replace_log, sweep_tmp
 from ..resilience.policy import RetryPolicy
 from ..resilience.supervisor import (
     FailureEvent,
@@ -103,8 +110,6 @@ class CampaignState:
     total_jobs: int = 0
     #: Completed results by job index (canonical result documents).
     results: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    #: How many leading indexes are already streamed/persisted.
-    streamed: int = 0
     error: Optional[str] = None
     wall_seconds: float = 0.0
     resume: Optional[Dict[str, int]] = None
@@ -135,12 +140,13 @@ class CampaignDaemon:
         heartbeat_timeout: float = 30.0,
         fault_plan: Optional[FaultPlan] = None,
         fault_kill_after_results: Optional[int] = None,
-        fsync: bool = True,
     ) -> None:
         self.spool = Path(spool)
         for sub in ("journal", "cache", "checkpoints", "results"):
             (self.spool / sub).mkdir(parents=True, exist_ok=True)
-        self.queue = PersistentQueue(self.spool / "journal", fsync=fsync)
+        for sub in ("checkpoints", "results"):
+            sweep_tmp(self.spool / sub)
+        self.queue = PersistentQueue(self.spool / "journal")
         self.cache = ResultCache(self.spool / "cache")
         self.max_queue_depth = max_queue_depth
         self.job_seconds = JobSecondsEstimator()
@@ -154,7 +160,6 @@ class CampaignDaemon:
         )
         self.fault_kill_after_results = fault_kill_after_results
         self._results_recorded = 0
-        self._fsync = fsync
         self._cond = threading.Condition()
         self._campaigns: Dict[str, CampaignState] = {}
         self._active: Optional[str] = None
@@ -204,9 +209,7 @@ class CampaignDaemon:
         if detail:
             record["detail"] = detail
         with self.request_log_path.open("a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            )
+            handle.write(encode_record(record))
 
     # -- admission -----------------------------------------------------------
 
@@ -428,47 +431,44 @@ class CampaignDaemon:
             state.resume = checkpoint.reconcile(keys, cache_present).to_dict()
 
         cache_errors: List[FailureEvent] = []
-        results_file = self._results_path(claimed.campaign_id).open(
-            "w", encoding="utf-8"
-        )
+
+        def on_result(index: int, result) -> None:
+            # Cache before checkpoint: a checkpointed key always names an
+            # entry a recovered campaign can prefill from.
+            try:
+                self.cache.put(result)
+            except OSError as exc:
+                cache_errors.append(
+                    FailureEvent(-1, keys[index], 0, "cache-write",
+                                 "continue", f"{type(exc).__name__}: {exc}")
+                )
+            document = result_to_dict(result)
+            with self._cond:
+                state.results[index] = document
+                checkpoint.record(keys[index])
+                self._cond.notify_all()
+            self._results_recorded += 1
+            self._maybe_self_kill()
+
+        dispatch_start = time.perf_counter()
         try:
-            self._stream_ready(state, results_file)
-
-            def on_result(index: int, result) -> None:
-                # Cache before checkpoint: a checkpointed key always
-                # names an entry a recovered campaign can prefill from.
-                try:
-                    self.cache.put(result)
-                except OSError as exc:
-                    cache_errors.append(
-                        FailureEvent(-1, keys[index], 0, "cache-write",
-                                     "continue", f"{type(exc).__name__}: {exc}")
-                    )
-                document = result_to_dict(result)
-                with self._cond:
-                    state.results[index] = document
-                    checkpoint.record(keys[index])
-                    self._stream_ready(state, results_file)
-                    self._cond.notify_all()
-                self._results_recorded += 1
-                self._maybe_self_kill()
-
-            dispatch_start = time.perf_counter()
             report = self.pool.run(
                 tasks, on_result, should_abort=self._stopping.is_set
             )
-            report.events.extend(cache_errors)
-            self.job_seconds.note(
-                executed=len(tasks) - len(report.quarantined),
-                workers=self.pool.processes,
-                wall=time.perf_counter() - dispatch_start,
-            )
-            results_file.flush()
-            if self._fsync:
-                os.fsync(results_file.fileno())
         finally:
-            results_file.close()
-        fsync_directory(self.spool / "results")
+            # The completed prefix in job-index order, written once and
+            # durable before any ack (below, or the executor loop's
+            # failure ack).
+            replace_log(
+                self._results_path(claimed.campaign_id),
+                self._completed_prefix(state),
+            )
+        report.events.extend(cache_errors)
+        self.job_seconds.note(
+            executed=len(tasks) - len(report.quarantined),
+            workers=self.pool.processes,
+            wall=time.perf_counter() - dispatch_start,
+        )
         checkpoint.flush()
 
         with self._cond:
@@ -497,22 +497,14 @@ class CampaignDaemon:
             self._cond.notify_all()
         self._write_manifest(state, report, prefilled, tasks)
 
-    def _stream_ready(self, state: CampaignState, handle) -> None:
-        """Persist the contiguous completed prefix, in job-index order."""
-        while state.streamed in state.results:
-            handle.write(
-                json.dumps(
-                    {
-                        "index": state.streamed,
-                        "result": state.results[state.streamed],
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-            state.streamed += 1
-        handle.flush()
+    @staticmethod
+    def _completed_prefix(state: CampaignState) -> List[Dict[str, Any]]:
+        """Stream records of the contiguous completed prefix of jobs."""
+        prefix = []
+        while len(prefix) in state.results:
+            index = len(prefix)
+            prefix.append({"index": index, "result": state.results[index]})
+        return prefix
 
     def _maybe_self_kill(self) -> None:
         """Deterministic SIGKILL fault hook (soak harness seed point)."""
@@ -606,13 +598,10 @@ class CampaignDaemon:
                 "state": "done",
                 "archived": True,
             }
-            count = 0
-            with path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        yield "result", json.loads(line)
-                        count += 1
-            yield "done", {"done": True, "count": count}
+            records, _, _ = read_log(path)
+            for record in records:
+                yield "result", record
+            yield "done", {"done": True, "count": len(records)}
             return
 
         with self._cond:

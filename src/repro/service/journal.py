@@ -19,32 +19,40 @@ record kinds —
 ``cancel``
     A queued campaign was withdrawn before execution.
 
+The journal is one :mod:`repro.resilience.log`, ``journal.jsonl``.
 Dead records (acked/cancelled) accumulate; once they outnumber
-``rotate_dead_records`` the journal *rotates*: live records are compacted
-into a new segment file (``journal-<seq+1>.jsonl``) written atomically
-(tmp + fsync + rename + directory fsync) before the old segment is
-unlinked.  A crash at any point leaves either the old segment, both
-segments, or the new segment — :meth:`PersistentQueue.open` keeps the
-highest-sequence complete segment and sweeps the rest, so recovery is
-unambiguous.
+``rotate_dead_records`` the journal is compacted: one
+:func:`~repro.resilience.log.replace_log` rewrites it with the live
+records only, so a crash leaves either the old journal or the compacted
+one.
 
 Replay tolerates exactly the damage a crash can cause: a torn trailing
-line (the write that was in flight) is skipped and counted.  Torn or
-malformed lines *before* the tail are counted as ``bad_lines`` and
-skipped too — losing an ``ack`` only means one campaign re-runs against
-a warm cache, never wrong results.
+line (the write that was in flight) is counted and healed by a
+compaction before the next append.  Malformed lines *before* the tail
+are counted as ``bad_lines`` and skipped — losing an ``ack`` only means
+one campaign re-runs against a warm cache, never wrong results.
+
+A spool written in the older numbered-segment layout still recovers:
+when ``journal.jsonl`` is absent, the highest-numbered
+``journal-*.jsonl`` segment is replayed and compacted into it; then
+every segment is removed, and the ones not adopted count as
+``segments_swept``.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..resilience.checkpoint import fsync_directory
+from ..resilience.log import (
+    append_log,
+    fsync_directory,
+    read_log,
+    replace_log,
+    sweep_tmp,
+)
 
 #: Journal format version, embedded in every record.
 JOURNAL_SCHEMA_VERSION = 1
@@ -52,9 +60,11 @@ JOURNAL_SCHEMA_VERSION = 1
 #: Valid record kinds.
 RECORD_KINDS = ("submit", "claim", "ack", "cancel")
 
-_SEGMENT_PREFIX = "journal-"
-_SEGMENT_SUFFIX = ".jsonl"
-_TMP_PREFIX = ".tmp-"
+#: The journal file inside the queue's root directory.
+_JOURNAL_FILE = "journal.jsonl"
+
+#: Numbered segments of the older layout; adopted once, then swept.
+_SEGMENT_GLOB = "journal-*.jsonl"
 
 
 class JournalError(RuntimeError):
@@ -109,16 +119,24 @@ class _QueueState:
     next_seq: int = 0
 
 
-def _segment_path(root: Path, seq: int) -> Path:
-    return root / f"{_SEGMENT_PREFIX}{seq:08d}{_SEGMENT_SUFFIX}"
+def _record(kind: str, campaign_id: str, **fields: Any) -> Dict[str, Any]:
+    """One journal record of ``kind`` for ``campaign_id``."""
+    return {
+        "journal_schema": JOURNAL_SCHEMA_VERSION,
+        "record": kind,
+        "id": campaign_id,
+        **fields,
+    }
 
 
-def _segment_seq(path: Path) -> Optional[int]:
-    name = path.name
-    if not (name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)):
-        return None
-    digits = name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)]
-    return int(digits) if digits.isdigit() else None
+def _submit_record(campaign: QueuedCampaign) -> Dict[str, Any]:
+    return _record(
+        "submit",
+        campaign.campaign_id,
+        seq=campaign.seq,
+        priority=campaign.priority,
+        payload=campaign.payload,
+    )
 
 
 class PersistentQueue:
@@ -133,21 +151,17 @@ class PersistentQueue:
         self,
         root: Union[str, Path],
         rotate_dead_records: int = 128,
-        fsync: bool = True,
     ) -> None:
         if rotate_dead_records < 1:
             raise ValueError(
                 f"rotate_dead_records must be >= 1, got {rotate_dead_records}"
             )
         self.root = Path(root)
+        self.path = self.root / _JOURNAL_FILE
         self.rotate_dead_records = rotate_dead_records
-        #: fsync submit/claim/ack records (tests may disable for speed).
-        self.fsync = fsync
         self.recovery = RecoveryReport()
         self._state = _QueueState()
         self._dead_records = 0
-        self._segment = 0
-        self._handle = None
         #: Min-heap of (priority, seq, campaign_id) over unclaimed work.
         self._ready: List[Tuple[int, int, str]] = []
         self._open()
@@ -156,33 +170,29 @@ class PersistentQueue:
 
     def _open(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        segments: List[Tuple[int, Path]] = []
-        for path in self.root.iterdir():
-            if path.name.startswith(_TMP_PREFIX):
-                path.unlink(missing_ok=True)
-                self.recovery.segments_swept += 1
-                continue
-            seq = _segment_seq(path)
-            if seq is not None:
-                segments.append((seq, path))
-        segments.sort()
-        if segments:
-            # Keep the newest complete segment; older ones are leftovers
-            # of a rotation that crashed between rename and unlink.
-            self._segment, active = segments[-1]
-            for _, stale in segments[:-1]:
-                stale.unlink(missing_ok=True)
-                self.recovery.segments_swept += 1
-            if self.recovery.segments_swept:
-                fsync_directory(self.root)
-            self._replay(active)
-        else:
-            self._segment = 0
-            _segment_path(self.root, 0).touch()
-            fsync_directory(self.root)
-        self._handle = _segment_path(self.root, self._segment).open(
-            "a", encoding="utf-8"
+        self.recovery.segments_swept += sweep_tmp(self.root)
+        # Zero-padded sequence numbers: name order is sequence order.
+        segments = sorted(self.root.glob(_SEGMENT_GLOB))
+        adopt = bool(segments) and not self.path.exists()
+        records, bad_lines, torn = read_log(
+            segments[-1] if adopt else self.path
         )
+        self.recovery.bad_lines += bad_lines
+        self.recovery.torn_lines += int(torn)
+        self.recovery.replayed_records += len(records)
+        for record in records:
+            self._apply(record)
+        if adopt or torn:
+            # Heal the torn tail (or adopt the newest segment) before the
+            # next append can land on a shared line.
+            self.rotate()
+        for stale in segments:
+            stale.unlink(missing_ok=True)
+        self.recovery.segments_swept += len(segments) - int(adopt)
+        if not self.path.exists():
+            # Name the journal durably once; appends then fsync the file only.
+            self.path.touch()
+            fsync_directory(self.root)
         for campaign in self._state.campaigns.values():
             if campaign.claimed:
                 campaign.recovered = True
@@ -197,28 +207,6 @@ class PersistentQueue:
                 self._ready,
                 (campaign.priority, campaign.seq, campaign.campaign_id),
             )
-
-    def _replay(self, path: Path) -> None:
-        lines = path.read_text(encoding="utf-8").split("\n")
-        # A well-formed journal ends with a newline → last split item is
-        # empty; anything else in the final slot is a torn write.
-        tail = lines[-1]
-        body = lines[:-1]
-        if tail.strip():
-            self.recovery.torn_lines += 1
-        for line in body:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                self.recovery.bad_lines += 1
-                continue
-            if not isinstance(record, dict):
-                self.recovery.bad_lines += 1
-                continue
-            self._apply(record)
-            self.recovery.replayed_records += 1
 
     def _apply(self, record: Dict[str, Any]) -> None:
         kind = record.get("record")
@@ -250,12 +238,9 @@ class PersistentQueue:
 
     # -- append path ---------------------------------------------------------
 
-    def _append(self, record: Dict[str, Any], durable: bool) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        if durable and self.fsync:
-            os.fsync(self._handle.fileno())
+    def _append(self, record: Dict[str, Any]) -> None:
+        """Durably append one record (fsync'd before this returns)."""
+        append_log(self.path, [record])
 
     # -- queue API -----------------------------------------------------------
 
@@ -300,17 +285,7 @@ class PersistentQueue:
             payload=payload,
             seq=seq,
         )
-        self._append(
-            {
-                "journal_schema": JOURNAL_SCHEMA_VERSION,
-                "record": "submit",
-                "id": campaign_id,
-                "seq": seq,
-                "priority": priority,
-                "payload": payload,
-            },
-            durable=True,
-        )
+        self._append(_submit_record(campaign))
         self._state.campaigns[campaign_id] = campaign
         heapq.heappush(self._ready, (priority, seq, campaign_id))
         return campaign
@@ -322,14 +297,7 @@ class PersistentQueue:
             campaign = self._state.campaigns.get(campaign_id)
             if campaign is None or campaign.claimed:
                 continue  # acked/cancelled/claimed since push
-            self._append(
-                {
-                    "journal_schema": JOURNAL_SCHEMA_VERSION,
-                    "record": "claim",
-                    "id": campaign_id,
-                },
-                durable=True,
-            )
+            self._append(_record("claim", campaign_id))
             campaign.claimed = True
             return campaign
         return None
@@ -338,14 +306,7 @@ class PersistentQueue:
         """Durably mark one campaign complete; it will never replay."""
         if campaign_id not in self._state.campaigns:
             raise JournalError(f"unknown campaign {campaign_id!r}")
-        self._append(
-            {
-                "journal_schema": JOURNAL_SCHEMA_VERSION,
-                "record": "ack",
-                "id": campaign_id,
-            },
-            durable=True,
-        )
+        self._append(_record("ack", campaign_id))
         self._state.campaigns.pop(campaign_id, None)
         self._dead_records += 1
         self._maybe_rotate()
@@ -355,87 +316,35 @@ class PersistentQueue:
         campaign = self._state.campaigns.get(campaign_id)
         if campaign is None or campaign.claimed:
             return False
-        self._append(
-            {
-                "journal_schema": JOURNAL_SCHEMA_VERSION,
-                "record": "cancel",
-                "id": campaign_id,
-            },
-            durable=True,
-        )
+        self._append(_record("cancel", campaign_id))
         self._state.campaigns.pop(campaign_id, None)
         self._dead_records += 1
         self._maybe_rotate()
         return True
 
-    # -- rotation ------------------------------------------------------------
+    # -- compaction ----------------------------------------------------------
 
     def _maybe_rotate(self) -> None:
         if self._dead_records >= self.rotate_dead_records:
             self.rotate()
 
     def rotate(self) -> Path:
-        """Compact live records into a new segment, atomically.
-
-        Write order makes every crash window recoverable: the new
-        segment is complete (fsync'd) and *named* (rename + directory
-        fsync) before the old one is unlinked, and :meth:`_open` always
-        prefers the highest-sequence segment.
-        """
-        new_seq = self._segment + 1
-        tmp = self.root / f"{_TMP_PREFIX}{_SEGMENT_PREFIX}{new_seq:08d}"
+        """Compact the journal to its live records with one atomic rewrite."""
         live = sorted(self._state.campaigns.values(), key=lambda c: c.seq)
-        with tmp.open("w", encoding="utf-8") as handle:
-            for campaign in live:
-                handle.write(
-                    json.dumps(
-                        {
-                            "journal_schema": JOURNAL_SCHEMA_VERSION,
-                            "record": "submit",
-                            "id": campaign.campaign_id,
-                            "seq": campaign.seq,
-                            "priority": campaign.priority,
-                            "payload": campaign.payload,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-            for campaign in live:
-                if campaign.claimed:
-                    handle.write(
-                        json.dumps(
-                            {
-                                "journal_schema": JOURNAL_SCHEMA_VERSION,
-                                "record": "claim",
-                                "id": campaign.campaign_id,
-                            },
-                            sort_keys=True,
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        target = _segment_path(self.root, new_seq)
-        os.replace(tmp, target)
-        fsync_directory(self.root)
-        old_handle, self._handle = self._handle, target.open(
-            "a", encoding="utf-8"
+        replace_log(
+            self.path,
+            [_submit_record(campaign) for campaign in live]
+            + [
+                _record("claim", campaign.campaign_id)
+                for campaign in live
+                if campaign.claimed
+            ],
         )
-        old_handle.close()
-        _segment_path(self.root, self._segment).unlink(missing_ok=True)
-        fsync_directory(self.root)
-        self._segment = new_seq
         self._dead_records = 0
-        return target
+        return self.path
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Nothing to release: every append opens and closes the journal."""
 
     def __enter__(self) -> "PersistentQueue":
         return self

@@ -62,22 +62,20 @@ class TestCheckpointFile:
         assert json.loads(lines[2])["completed"] == ["b", "c"]
         assert load_checkpoint(path) == ["a", "b", "c"]
 
-    def test_legacy_v1_snapshot_still_loads(self, tmp_path):
+    def test_v1_snapshot_reads_unusable(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text(
             json.dumps({"checkpoint_schema": 1, "label": "old",
                         "completed": ["a", "b"]})
         )
-        assert load_checkpoint(path) == ["a", "b"]
-        report = load_checkpoint_report(path)
-        assert report.legacy and not report.torn_line
-        # A resume from the legacy file rewrites in the current format.
+        assert load_checkpoint(path) is None
+        # Resuming only re-checks the cache; the first flush rewrites
+        # the file in the current format.
         resumed = CampaignCheckpoint(path, label="old", resume=True)
+        assert resumed.previously_completed == frozenset()
         resumed.record("c")
         resumed.flush()
-        assert load_checkpoint(path) == ["a", "b", "c"]
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["checkpoint_schema"] == CHECKPOINT_SCHEMA_VERSION
+        assert load_checkpoint(path) == ["c"]
 
     def test_torn_trailing_line_skipped_and_reported(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -102,6 +100,26 @@ class TestCheckpointFile:
         healed = load_checkpoint_report(path)
         assert not healed.torn_line
         assert set(healed.keys) == {"a", "c"}
+
+    def test_lost_final_newline_heals_before_next_append(self, tmp_path):
+        path = tmp_path / "ck.json"
+        checkpoint = CampaignCheckpoint(path, interval=1)
+        for key in ("a", "b"):
+            checkpoint.record(key)
+        # Crash mid-append after the batch but before its newline.
+        text = path.read_text()
+        assert text.endswith("\n")
+        path.write_text(text[:-1])
+
+        resumed = CampaignCheckpoint(path, interval=1, resume=True)
+        assert resumed.previously_completed == {"a", "b"}
+        resumed.record("c")
+        resumed.record("d")
+        # The next append must not land on the unterminated line.
+        reloaded = load_checkpoint_report(path)
+        assert reloaded.keys == ["a", "b", "c", "d"]
+        assert not reloaded.torn_line
+        assert resumed.load_torn_line
 
     def test_mid_file_garbage_is_unusable(self, tmp_path):
         path = tmp_path / "ck.json"

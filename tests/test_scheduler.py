@@ -9,6 +9,7 @@ job order under arbitrary out-of-order completion.
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -468,6 +469,20 @@ class TestAutoDegrade:
         assert tele["scheduler"]["dispatch_decisions"] == (
             scheduler.dispatch_decisions
         )
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 2)])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        # Never more workers than cores, but two even on one core so a
+        # crashing replication stays isolated from the campaign.
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with ReplicationScheduler(processes=4, auto_degrade=False) as scheduler:
+            pool = scheduler._plan_dispatch(8)
+            assert pool.processes == workers
+            assert not pool.started
+            (decision,) = scheduler.dispatch_decisions
+        assert decision["requested_processes"] == 4
+        assert decision["cpu_count"] == cpus
+        assert decision["mode"] == "parallel"
 
     def test_serial_and_external_pools_skip_planning(self, mini_spec):
         with ReplicationScheduler(processes=1) as scheduler:

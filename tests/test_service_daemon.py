@@ -13,6 +13,7 @@ original run.  The full kill -9 soak lives in ``repro.service.soak``.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import socket
 import tempfile
@@ -324,6 +325,16 @@ class TestAdmission:
         record = daemon.status("old")["campaign"]
         assert record["state"] == "done" and record["archived"]
 
+    def test_startup_sweeps_tmp_orphans(self, tmp_path):
+        spool = tmp_path / "spool"
+        for sub in ("checkpoints", "results"):
+            (spool / sub).mkdir(parents=True)
+            (spool / sub / ".tmp-x1y2.jsonl").write_text("half", encoding="utf-8")
+            (spool / sub / "c000000.jsonl").write_text("", encoding="utf-8")
+        CampaignDaemon(spool, shards=1).close()
+        for sub in ("checkpoints", "results"):
+            assert [p.name for p in (spool / sub).iterdir()] == ["c000000.jsonl"]
+
     def test_requests_are_logged(self, daemon):
         daemon.status()
         daemon.submit({"op": "submit", "seed": 1})  # rejected, still logged
@@ -495,6 +506,30 @@ class TestServiceEndToEnd:
         assert validate_manifest(records[0]) == []
         assert records[0]["service"]["campaign"] == campaign_id
         assert records[0]["service"]["shards"]["executed"] == SMALL_JOBS
+
+    def test_campaign_fsync_count(self, service_root, monkeypatch):
+        # The durability contract of one J-job campaign, in fsyncs: the
+        # journal's directory entry at open, then its submit, claim and
+        # ack; the checkpoint's first rewrite (file + directory) and J-1
+        # appends; the result stream's one rewrite (file + directory).
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        daemon = CampaignDaemon(service_root / "spool", shards=1)
+        try:
+            assert daemon.submit(
+                {"op": "submit", "design": SMALL_DESIGN, "seed": SMALL_SEED}
+            )["ok"]
+            claimed = daemon.queue.claim()
+            daemon._execute(claimed, daemon._campaigns[claimed.campaign_id])
+        finally:
+            daemon.close()
+        assert len(calls) == 1 + 3 + (SMALL_JOBS + 1) + 2
 
     def test_recovered_campaign_resumes_byte_identically(self, service_root):
         spool = service_root / "spool"

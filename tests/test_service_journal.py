@@ -1,9 +1,10 @@
 """Tests for the campaign daemon's crash-safe persistent queue.
 
 Every scenario here is a crash footprint the journal must survive:
-torn trailing writes, lost acks (claim without ack -> recovered
-in-flight), and rotation interrupted at each window (tmp left behind,
-both segments present).  All tests are pure filesystem -- tier-1 fast.
+torn trailing writes (and the appends that follow them), lost acks
+(claim without ack -> recovered in-flight), a compaction interrupted
+before its rename (tmp left behind), and a spool in the older
+numbered-segment layout.  All tests are pure filesystem -- tier-1 fast.
 """
 
 from __future__ import annotations
@@ -25,8 +26,27 @@ def payload(tag: str) -> dict:
     return {"design": {"id": tag}, "jobs": 2, "seed": 7}
 
 
-def segment_names(root) -> list:
+def file_names(root) -> list:
     return sorted(p.name for p in root.iterdir())
+
+
+def segment_record(campaign_id: str, seq: int) -> str:
+    """One submit line as the older segment layout wrote it."""
+    return (
+        json.dumps(
+            {
+                "journal_schema": JOURNAL_SCHEMA_VERSION,
+                "record": "submit",
+                "id": campaign_id,
+                "seq": seq,
+                "priority": 0,
+                "payload": payload(campaign_id),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        + "\n"
+    )
 
 
 class TestQueueBasics:
@@ -146,8 +166,7 @@ class TestRecovery:
     def test_torn_trailing_line_skipped_and_counted(self, tmp_path):
         with PersistentQueue(tmp_path) as queue:
             queue.submit(payload("a"))
-            segment = tmp_path / "journal-00000000.jsonl"
-        with segment.open("a", encoding="utf-8") as handle:
+        with (tmp_path / "journal.jsonl").open("a", encoding="utf-8") as handle:
             handle.write('{"journal_schema":1,"record":"sub')  # no newline
 
         reopened = PersistentQueue(tmp_path)
@@ -156,13 +175,35 @@ class TestRecovery:
         assert reopened.depth == 1
         reopened.close()
 
+    def test_append_after_torn_tail_survives_reopen(self, tmp_path):
+        with PersistentQueue(tmp_path) as queue:
+            queue.submit(payload("a"))
+        with (tmp_path / "journal.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write('{"record":"sub')  # crash mid-append, no newline
+
+        reopened = PersistentQueue(tmp_path)
+        assert reopened.recovery.torn_lines == 1
+        second = reopened.submit(payload("b"))
+        reopened.close()
+
+        # The acknowledged submission must not share a line with the
+        # fragment: it replays, and nothing reads as damaged.
+        again = PersistentQueue(tmp_path)
+        assert again.recovery.torn_lines == 0
+        assert again.recovery.bad_lines == 0
+        assert [c.campaign_id for c in again.pending_campaigns()] == [
+            "c000000",
+            second.campaign_id,
+        ]
+        again.close()
+
     def test_bad_mid_file_lines_skipped_and_counted(self, tmp_path):
         with PersistentQueue(tmp_path) as queue:
             queue.submit(payload("a"))
-            segment = tmp_path / "journal-00000000.jsonl"
-        text = segment.read_text(encoding="utf-8")
+        journal = tmp_path / "journal.jsonl"
+        text = journal.read_text(encoding="utf-8")
         corrupted = "not json at all\n" + '["a","list"]\n' + text
-        segment.write_text(corrupted, encoding="utf-8")
+        journal.write_text(corrupted, encoding="utf-8")
 
         reopened = PersistentQueue(tmp_path)
         assert reopened.recovery.bad_lines == 2
@@ -171,8 +212,7 @@ class TestRecovery:
         reopened.close()
 
     def test_unknown_record_kind_counts_as_bad_line(self, tmp_path):
-        segment = tmp_path / "journal-00000000.jsonl"
-        segment.write_text(
+        (tmp_path / "journal.jsonl").write_text(
             json.dumps(
                 {
                     "journal_schema": JOURNAL_SCHEMA_VERSION,
@@ -213,7 +253,7 @@ class TestRotation:
         # Ack the two non-survivor campaigns to cross the rotation bar.
         queue.ack("c000001")
         queue.ack("c000002")
-        assert segment_names(tmp_path) == ["journal-00000001.jsonl"]
+        assert file_names(tmp_path) == ["journal.jsonl"]
         queue.close()
 
         reopened = PersistentQueue(tmp_path)
@@ -239,49 +279,53 @@ class TestRotation:
     def test_crashed_rotation_tmp_file_swept(self, tmp_path):
         with PersistentQueue(tmp_path) as queue:
             queue.submit(payload("a"))
-        (tmp_path / ".tmp-journal-00000001").write_text(
-            "half-written rotation", encoding="utf-8"
+        (tmp_path / ".tmp-k2j4x9.jsonl").write_text(
+            "half-written compaction", encoding="utf-8"
         )
         reopened = PersistentQueue(tmp_path)
         assert reopened.recovery.segments_swept == 1
         assert reopened.depth == 1
-        assert segment_names(tmp_path) == ["journal-00000000.jsonl"]
+        assert file_names(tmp_path) == ["journal.jsonl"]
         reopened.close()
 
     def test_crash_between_rename_and_unlink_keeps_newest(self, tmp_path):
-        # Simulate the rotation crash window where both segments exist:
-        # the new (compacted) segment must win and the old one is swept.
-        with PersistentQueue(tmp_path) as queue:
-            queue.submit(payload("stale"))
-        old = (tmp_path / "journal-00000000.jsonl").read_text(encoding="utf-8")
-        new_segment = tmp_path / "journal-00000001.jsonl"
-        new_segment.write_text(
-            json.dumps(
-                {
-                    "journal_schema": JOURNAL_SCHEMA_VERSION,
-                    "record": "submit",
-                    "id": "compacted",
-                    "seq": 5,
-                    "priority": 0,
-                    "payload": payload("compacted"),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n",
-            encoding="utf-8",
+        # A spool in the older segment layout, left in the rotation crash
+        # window where both segments exist: the newest is adopted into
+        # journal.jsonl and the stale one is swept.
+        (tmp_path / "journal-00000000.jsonl").write_text(
+            segment_record("stale", 0), encoding="utf-8"
         )
-        assert old  # the stale segment is still on disk
+        (tmp_path / "journal-00000001.jsonl").write_text(
+            segment_record("compacted", 5), encoding="utf-8"
+        )
 
         reopened = PersistentQueue(tmp_path)
         assert reopened.recovery.segments_swept == 1
         assert reopened.get("compacted") is not None
-        assert reopened.get("c000000") is None  # stale segment discarded
-        assert segment_names(tmp_path) == ["journal-00000001.jsonl"]
+        assert reopened.get("stale") is None  # stale segment discarded
+        assert file_names(tmp_path) == ["journal.jsonl"]
         # New submissions continue from the compacted sequence space.
         fresh = reopened.submit(payload("fresh"))
         assert fresh.seq == 6
         reopened.close()
+
+        again = PersistentQueue(tmp_path)
+        assert again.recovery.segments_swept == 0
+        assert [c.campaign_id for c in again.pending_campaigns()] == [
+            "compacted",
+            fresh.campaign_id,
+        ]
+        again.close()
+
+    def test_single_segment_spool_adopted(self, tmp_path):
+        (tmp_path / "journal-00000000.jsonl").write_text(
+            segment_record("old", 0), encoding="utf-8"
+        )
+        queue = PersistentQueue(tmp_path)
+        assert queue.recovery.segments_swept == 0
+        assert queue.recovery.pending == 1
+        assert file_names(tmp_path) == ["journal.jsonl"]
+        queue.close()
 
     def test_rotate_dead_records_validation(self, tmp_path):
         with pytest.raises(ValueError, match="rotate_dead_records"):
